@@ -9,8 +9,7 @@
 #include "crypto/aes128.h"
 #include "crypto/hash.h"
 #include "crypto/prg.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
+#include "gc/garble.h"
 
 namespace haac {
 namespace {
@@ -96,9 +95,10 @@ BM_GarbleAndFixedKey(benchmark::State &state)
     r.setLsb(true);
     Label a0 = prg.nextLabel(), b0 = prg.nextLabel();
     FixedKeyHasher h;
+    const FixedKeyGateHash hash{h};
     uint64_t gate = 0;
     for (auto _ : state) {
-        HalfGateGarbled hg = garbleAndFixedKey(h, a0, b0, r, gate++);
+        HalfGateGarbled hg = garbleAnd(a0, b0, r, gate++, hash);
         a0 = hg.outZero;
         benchmark::DoNotOptimize(hg);
     }

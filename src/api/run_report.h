@@ -21,7 +21,6 @@
 #include "core/sim/config.h"
 #include "core/sim/engine.h"
 #include "core/sim/stats.h"
-#include "gc/ot.h"
 #include "platform/energy_model.h"
 
 namespace haac {
@@ -83,8 +82,6 @@ struct RunReport
         uint64_t tableSegments = 0;
         /** Tables per segment the garbler streamed with. */
         uint32_t segmentTables = 0;
-        /** OT construction the session ran ("iknp" or "sim-ot"). */
-        OtMode otMode = OtMode::Iknp;
         uint64_t gates = 0;
         double gatesPerSecond = 0;
     };

@@ -32,8 +32,8 @@ struct ChainFingerprint
     uint32_t evaluatorInputs = 0;
     uint32_t outputs = 0;
     uint32_t segmentTables = 0;
-    uint64_t reserved = 0; ///< keeps layout room for an OT seed
-    uint8_t otMode = 1;    ///< 1 = IKNP (the only chained mode)
+    uint64_t reserved = 0; ///< written as zero, ignored on read
+    uint8_t otMode = 1;    ///< 1 = IKNP, the only OT spoken
     uint8_t otCached = 0;
 
     static constexpr size_t kBytes = 8 + 6 * 4 + 8 + 2;
@@ -110,16 +110,6 @@ uint32_t
 clampSegment(uint32_t segment_tables)
 {
     return segment_tables > 0 ? segment_tables : 1;
-}
-
-void
-requireIknp(const RemoteOptions &opts, const char *who)
-{
-    if (opts.otMode != OtMode::Iknp)
-        throw std::invalid_argument(
-            std::string(who) +
-            ": chained sessions require IKNP OT (the simulated OT has "
-            "no chained variant)");
 }
 
 void
@@ -378,7 +368,6 @@ runChainGarbler(const ChainPlan &plan,
                 const RemoteOptions &opts)
 {
     requireValidPlan(plan, "runChainGarbler");
-    requireIknp(opts, "runChainGarbler");
     if (garbler_bits.size() != plan.garblerInputs)
         throw std::invalid_argument(
             "runChainGarbler: wrong garbler input count");
@@ -543,8 +532,7 @@ runChainGarbler(const ChainPlan &plan,
         }
         const uint64_t frames_before = transport.framesSent();
         const size_t base = chan.bytesSent();
-        for (const GarbledTable &t : comps[n]->inst.tables)
-            chan.sendTable(t);
+        chan.sendTableSegments(comps[n]->inst.tables, segment_tables);
         chan.flush();
         res.tableBytes += chan.bytesSent() - base;
         res.tableSegments += transport.framesSent() - frames_before;
@@ -586,7 +574,6 @@ runChainEvaluator(const ChainPlan &plan,
                   Transport &transport, const RemoteOptions &opts)
 {
     requireValidPlan(plan, "runChainEvaluator");
-    requireIknp(opts, "runChainEvaluator");
     if (evaluator_bits.size() != plan.evaluatorInputs)
         throw std::invalid_argument(
             "runChainEvaluator: wrong evaluator input count");
@@ -728,8 +715,11 @@ runChainEvaluator(const ChainPlan &plan,
         }
         const uint64_t frames_before = transport.framesReceived();
         const size_t base = chan.bytesReceived();
-        nodeOut[n] = evaluateStreaming(nls[n], inputs[n],
-                                       [&] { return chan.recvTable(); });
+        nodeOut[n] = evaluateStreaming(
+            nls[n], inputs[n], remote_fp.segmentTables,
+            [&](GarbledTable *tables, size_t k) {
+                chan.recvTables(tables, k);
+            });
         res.tableBytes += chan.bytesReceived() - base;
         res.tableSegments += transport.framesReceived() - frames_before;
     }

@@ -287,8 +287,7 @@ struct ChainResult
 
 /**
  * Garbler side of the chained protocol over an established
- * (handshaken) transport. Components come from @p provider; chained
- * sessions require IKNP OT (OtMode::Simulated throws).
+ * (handshaken) transport. Components come from @p provider.
  *
  * @param garbler_bits this party's plan inputs (size garblerInputs).
  */

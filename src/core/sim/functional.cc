@@ -4,8 +4,7 @@
 #include <unordered_map>
 
 #include "crypto/prg.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
+#include "gc/garble.h"
 
 namespace haac {
 

@@ -28,10 +28,10 @@ uint64_t splitmix64(uint64_t x);
 /**
  * A fresh, non-deterministic 64-bit seed from the OS entropy source.
  *
- * The networked protocol draws its on-wire OT randomness here so a
- * peer can never reconstruct it from other protocol values (the
- * simulated-OT seed-leak fix); deterministic test paths keep passing
- * explicit seeds instead.
+ * Pooled and inline-served garblings draw their seeds here, so no two
+ * sessions share a garbling and no peer can reconstruct one from other
+ * protocol values; deterministic test paths keep passing explicit
+ * seeds instead.
  */
 uint64_t randomSeed();
 

@@ -19,11 +19,16 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "crypto/label.h"
 
 namespace haac {
+
+static_assert(sizeof(GarbledTable) == kTableBytes &&
+                  std::is_trivially_copyable<GarbledTable>::value,
+              "sendTables/recvTables move tables as raw bytes");
 
 /**
  * One endpoint of a byte stream with per-endpoint counters.
@@ -83,6 +88,25 @@ class ByteChannel
         t.tg = recvLabel();
         t.te = recvLabel();
         return t;
+    }
+
+    /**
+     * Send @p n tables as one write. Label::toBytes is the in-memory
+     * layout (lo, then hi), so a table array is its own wire encoding
+     * — byte-identical to @p n sendTable() calls.
+     */
+    void
+    sendTables(const GarbledTable *tables, size_t n)
+    {
+        sendBytes(reinterpret_cast<const uint8_t *>(tables),
+                  n * kTableBytes);
+    }
+
+    /** Receive @p n tables into @p tables (inverse of sendTables). */
+    void
+    recvTables(GarbledTable *tables, size_t n)
+    {
+        recvBytes(reinterpret_cast<uint8_t *>(tables), n * kTableBytes);
     }
 
     void

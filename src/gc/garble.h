@@ -1,0 +1,178 @@
+/**
+ * @file
+ * The Half-Gate garbling kernel (the paper's GE datapath, in software).
+ *
+ * FreeXOR (Kolesnikov-Schneider) + Half-Gates (Zahur-Rosulek-Evans)
+ * with the re-keyed hash HAAC adopts for security. Per AND gate i the
+ * Garbler performs two key expansions (tweaks 2i and 2i+1) and four
+ * AES hashes, the Evaluator two and two; XOR gates cost one 128-bit
+ * XOR. The formula is written once here, templated on the hash, and
+ * the gate kernel below is the only loop over netlist gates in src/gc:
+ * every garbling and evaluation (StreamingGarbler, captureGarbling,
+ * evaluateStreaming, the protocols, the chain linker) runs through
+ * it, a chunk of tables at a time — the table queue of §3.1.2. This is
+ * both the protocol implementation and the functional reference the
+ * hardware model is validated against (paper §5 "Correctness").
+ */
+#ifndef HAAC_GC_GARBLE_H
+#define HAAC_GC_GARBLE_H
+
+#include <cstddef>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
+#include "circuit/netlist.h"
+#include "crypto/hash.h"
+#include "crypto/label.h"
+
+namespace haac {
+
+/** Garbling of a single AND gate, shared by software and HW models. */
+struct HalfGateGarbled
+{
+    GarbledTable table;
+    Label outZero;
+};
+
+/**
+ * Hash policy: at(i) yields AND gate i's two tweak hashes,
+ * first(x) = H(x, 2i) and second(x) = H(x, 2i+1). The re-keyed
+ * policy expands each tweak key once and reuses it for the pair of
+ * hashes that share it (the Fig. 2 datapath: 2 expansions, 4 AES).
+ */
+struct RekeyedGateHash
+{
+    struct Gate
+    {
+        RekeyedHasher h0, h1;
+        Label first(const Label &x) const { return h0(x); }
+        Label second(const Label &x) const { return h1(x); }
+    };
+
+    Gate
+    at(uint64_t gate_index) const
+    {
+        return {RekeyedHasher(2 * gate_index),
+                RekeyedHasher(2 * gate_index + 1)};
+    }
+};
+
+/** Fixed-key hash policy (ablation only; one shared AES key). */
+struct FixedKeyGateHash
+{
+    const FixedKeyHasher &h;
+
+    struct Gate
+    {
+        const FixedKeyHasher &h;
+        uint64_t j0;
+        Label first(const Label &x) const { return h(x, j0); }
+        Label second(const Label &x) const { return h(x, j0 + 1); }
+    };
+
+    Gate at(uint64_t gate_index) const { return {h, 2 * gate_index}; }
+};
+
+/**
+ * Garble one AND gate.
+ *
+ * @param a0,b0 zero-labels of the inputs.
+ * @param r global FreeXOR offset (lsb must be 1).
+ * @param gate_index used for the tweaks 2i, 2i+1.
+ */
+template <typename Hash = RekeyedGateHash>
+HalfGateGarbled
+garbleAnd(const Label &a0, const Label &b0, const Label &r,
+          uint64_t gate_index, const Hash &hash = {})
+{
+    const auto h = hash.at(gate_index);
+    const bool pa = a0.lsb();
+    const bool pb = b0.lsb();
+    const Label ha0 = h.first(a0);
+    const Label ha1 = h.first(a0 ^ r);
+    const Label hb0 = h.second(b0);
+    const Label hb1 = h.second(b0 ^ r);
+
+    HalfGateGarbled out;
+    // Generator half.
+    out.table.tg = ha0 ^ ha1;
+    if (pb)
+        out.table.tg ^= r;
+    Label wg0 = ha0;
+    if (pa)
+        wg0 ^= out.table.tg;
+    // Evaluator half.
+    out.table.te = hb0 ^ hb1 ^ a0;
+    Label we0 = hb0;
+    if (pb)
+        we0 ^= out.table.te ^ a0;
+    out.outZero = wg0 ^ we0;
+    return out;
+}
+
+/**
+ * Evaluate one AND gate.
+ *
+ * @param a,b active input labels.
+ * @param table the gate's garbled table.
+ * @param gate_index must match the Garbler's tweak for this gate.
+ */
+template <typename Hash = RekeyedGateHash>
+Label
+evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
+            uint64_t gate_index, const Hash &hash = {})
+{
+    const auto h = hash.at(gate_index);
+    Label wg = h.first(a);
+    if (a.lsb())
+        wg ^= table.tg;
+    Label we = h.second(b);
+    if (b.lsb())
+        we ^= table.te ^ a;
+    return wg ^ we;
+}
+
+/** Position of a kernel run within a netlist: next gate, next AND. */
+struct GateCursor
+{
+    uint32_t gate = 0;
+    uint64_t andIndex = 0;
+
+    bool done(const Netlist &nl) const { return gate == nl.numGates(); }
+};
+
+/**
+ * Garble from @p cur onward, writing AND tables into @p tables.
+ *
+ * @param zero one zero label per wire; primary inputs must be set,
+ *        every gate output the run passes is filled in.
+ * @param capacity room in @p tables. The run stops at the end of the
+ *        netlist or at the first AND gate that finds no room left.
+ * @return tables written.
+ */
+size_t garbleGates(const Netlist &nl, const Label &r,
+                   std::vector<Label> &zero, GateCursor &cur,
+                   GarbledTable *tables, size_t capacity);
+
+/**
+ * Evaluate from @p cur onward, consuming AND tables from @p tables.
+ *
+ * @param labels one active label per wire; primary inputs must be set.
+ * @param count tables available. The run stops at the end of the
+ *        netlist or at the first AND gate once all are consumed.
+ * @return tables consumed.
+ */
+size_t evaluateGates(const Netlist &nl, std::vector<Label> &labels,
+                     GateCursor &cur, const GarbledTable *tables,
+                     size_t count);
+
+/** The table count handed to an evaluation does not match the circuit. */
+struct TableCountError : std::invalid_argument
+{
+    using std::invalid_argument::invalid_argument;
+};
+
+} // namespace haac
+
+#endif // HAAC_GC_GARBLE_H

@@ -14,15 +14,14 @@ GarbledInstance::byteSize() const
 GarbledInstance
 captureGarbling(const Netlist &netlist, uint64_t seed)
 {
-    GarbledInstance inst;
     StreamingGarbler garbler(netlist, seed);
+    GarbledInstance inst;
     inst.globalOffset = garbler.globalOffset();
     inst.inputZero.reserve(netlist.numInputs());
     for (WireId w = 0; w < netlist.numInputs(); ++w)
         inst.inputZero.push_back(garbler.inputZeroLabel(w));
-    inst.tables.reserve(netlist.numAndGates());
-    garbler.run(
-        [&](const GarbledTable &t) { inst.tables.push_back(t); });
+    inst.tables.resize(netlist.numAndGates());
+    garbler.garbleInto(inst.tables.data(), inst.tables.size());
     inst.outputZero = garbler.outputZeroLabels();
     return inst;
 }

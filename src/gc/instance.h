@@ -6,17 +6,18 @@
  * input labels before the tables; a GarbledInstance is the same
  * artifact decoupled from any wire — the global offset, every
  * primary-input zero label, the output zero labels, and the full
- * table vector, produced by running the garbler into a capturing
- * sink. The serving layer's GarblePool (serve/pool.h) builds these on
- * background threads ahead of demand, and runRemoteGarbler's instance
- * overload (net/remote.h) replays one to a remote evaluator with
- * byte-for-byte the traffic of an inline garbling.
+ * table vector, produced by one run of the gate kernel straight into
+ * the instance's table vector. The serving layer's GarblePool
+ * (serve/pool.h) builds these on background threads ahead of demand,
+ * and runRemoteGarbler's instance overload (net/remote.h) replays one
+ * to a remote evaluator with byte-for-byte the traffic of an inline
+ * garbling.
  *
  * Security: an instance is one garbling — labels, offset, and table
  * tweak pads are all derived from its seed. Replaying the same
- * instance to two evaluators reuses labels across sessions, exactly
- * the leak the PR 5 sim-OT fix closed; every instance must therefore
- * be served at most once (the pool pops, never peeks).
+ * instance to two evaluators reuses labels across sessions, handing
+ * the second evaluator both labels of every wire; every instance must
+ * therefore be served at most once (the pool pops, never peeks).
  */
 #ifndef HAAC_GC_INSTANCE_H
 #define HAAC_GC_INSTANCE_H
@@ -61,7 +62,7 @@ struct GarbledInstance
 /**
  * Garble @p netlist under @p seed and capture everything.
  *
- * Bit-identical to StreamingGarbler / Garbler at the same seed, so a
+ * Bit-identical to a StreamingGarbler at the same seed, so a
  * captured-then-replayed session matches an inline one exactly.
  */
 GarbledInstance captureGarbling(const Netlist &netlist, uint64_t seed);

@@ -14,9 +14,6 @@
 
 #include "circuit/netlist.h"
 #include "gc/channel.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
-#include "gc/ot.h"
 
 namespace haac {
 
@@ -29,8 +26,7 @@ struct ProtocolResult
      *
      * The four categories count garbler→evaluator payload;
      * otUplinkBytes is the evaluator→garbler OT traffic (base-OT
-     * public key + masked columns) that only exists under
-     * OtMode::Iknp — the simulation needs no uplink.
+     * public key, masked columns and the KOS15 proof).
      */
     /// @{
     size_t tableBytes = 0;
@@ -49,15 +45,13 @@ struct ProtocolResult
  * @param netlist the function (canonical netlist).
  * @param garbler_bits Alice's input bits.
  * @param evaluator_bits Bob's input bits.
- * @param seed garbling randomness.
- * @param ot_mode how the evaluator's labels transfer: real IKNP OT
- *        (default) or the deterministic simulation.
+ * @param seed garbling randomness (the OT endpoints derive theirs
+ *        from it, so a run is deterministic per seed).
  */
 ProtocolResult runProtocol(const Netlist &netlist,
                            const std::vector<bool> &garbler_bits,
                            const std::vector<bool> &evaluator_bits,
-                           uint64_t seed = 0x4841414331ull,
-                           OtMode ot_mode = OtMode::Iknp);
+                           uint64_t seed = 0x4841414331ull);
 
 /**
  * Timing breakdown of the software pipeline, for CPU-baseline numbers.
@@ -75,7 +69,10 @@ struct SoftwareGcTiming
     }
 };
 
-/** Garble + evaluate once, wall-clock timed (no channel overheads). */
+/**
+ * Garble + evaluate once through the gate kernel, wall-clock timed
+ * (no channel overheads). cpuBaseline() calibrates on this.
+ */
 SoftwareGcTiming timeSoftwareGc(const Netlist &netlist, uint64_t seed = 1);
 
 } // namespace haac

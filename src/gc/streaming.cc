@@ -1,67 +1,111 @@
 #include "gc/streaming.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "crypto/prg.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
 
 namespace haac {
+
+namespace {
+
+/** Chunk size behind the one-table-at-a-time overloads. */
+constexpr uint32_t kSingleTableChunk = 1024;
+
+/** A chunk buffer's size: at least one table, at most the circuit's. */
+size_t
+chunkSize(uint32_t chunk_tables, uint64_t and_gates)
+{
+    return size_t(std::min<uint64_t>(std::max<uint32_t>(chunk_tables, 1),
+                                     and_gates));
+}
+
+std::vector<Label>
+wireLabels(const Netlist &nl, const std::vector<Label> &input_labels)
+{
+    if (input_labels.size() != nl.numInputs())
+        throw std::invalid_argument("evaluate: wrong input label count");
+    std::vector<Label> labels(nl.numWires());
+    std::copy(input_labels.begin(), input_labels.end(), labels.begin());
+    return labels;
+}
+
+std::vector<Label>
+outputLabels(const Netlist &nl, const std::vector<Label> &labels)
+{
+    std::vector<Label> out;
+    out.reserve(nl.outputs.size());
+    for (WireId w : nl.outputs)
+        out.push_back(labels[w]);
+    return out;
+}
+
+} // namespace
 
 StreamingGarbler::StreamingGarbler(const Netlist &netlist, uint64_t seed)
     : netlist_(&netlist)
 {
     Prg prg(seed);
     r_ = prg.nextLabel();
-    r_.setLsb(true);
+    r_.setLsb(true); // point-and-permute requires lsb(R) == 1
 
     zero_.resize(netlist.numWires());
     for (uint32_t w = 0; w < netlist.numInputs(); ++w)
         zero_[w] = prg.nextLabel();
 }
 
+size_t
+StreamingGarbler::garbleInto(GarbledTable *out, size_t capacity)
+{
+    const size_t n =
+        garbleGates(*netlist_, r_, zero_, cursor_, out, capacity);
+    if (done())
+        outZero_ = outputLabels(*netlist_, zero_);
+    return n;
+}
+
 void
-StreamingGarbler::run(const TableSink &sink)
+StreamingGarbler::run(uint32_t chunk_tables, const TableChunkSink &sink)
 {
     if (ran_)
         throw std::logic_error("StreamingGarbler::run called twice");
     ran_ = true;
-
-    uint64_t and_index = 0;
-    for (uint32_t g = 0; g < netlist_->numGates(); ++g) {
-        const Gate &gate = netlist_->gates[g];
-        const WireId wout = netlist_->outputWireOf(g);
-        if (gate.op == GateOp::Xor) {
-            zero_[wout] = zero_[gate.a] ^ zero_[gate.b];
-        } else {
-            HalfGateGarbled hg =
-                garbleAnd(zero_[gate.a], zero_[gate.b], r_, and_index++);
-            sink(hg.table);
-            ++tablesEmitted_;
-            zero_[wout] = hg.outZero;
-        }
-    }
-    outZero_.reserve(netlist_->outputs.size());
-    for (WireId w : netlist_->outputs)
-        outZero_.push_back(zero_[w]);
+    std::vector<GarbledTable> chunk(
+        chunkSize(chunk_tables, netlist_->numAndGates()));
+    do {
+        const size_t n = garbleInto(chunk.data(), chunk.size());
+        if (n > 0)
+            sink(chunk.data(), n);
+    } while (!done());
 }
 
-StreamedGarbling
-garbleStreaming(const Netlist &netlist, uint64_t seed,
-                const TableSink &sink)
+void
+StreamingGarbler::run(const TableSink &sink)
 {
-    StreamingGarbler sg(netlist, seed);
+    run(kSingleTableChunk, [&](const GarbledTable *tables, size_t n) {
+        for (size_t i = 0; i < n; ++i)
+            sink(tables[i]);
+    });
+}
 
-    StreamedGarbling out;
-    out.globalOffset = sg.globalOffset();
-    out.inputZeroLabels.reserve(netlist.numInputs());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        out.inputZeroLabels.push_back(sg.inputZeroLabel(w));
-
-    sg.run(sink);
-    out.outputZeroLabels = sg.outputZeroLabels();
-    out.tablesEmitted = sg.tablesEmitted();
-    return out;
+std::vector<Label>
+evaluateStreaming(const Netlist &netlist,
+                  const std::vector<Label> &input_labels,
+                  uint32_t chunk_tables, const TableChunkSource &source)
+{
+    std::vector<Label> labels = wireLabels(netlist, input_labels);
+    const uint64_t ands = netlist.numAndGates();
+    std::vector<GarbledTable> chunk(chunkSize(chunk_tables, ands));
+    GateCursor cur;
+    do {
+        const size_t n =
+            size_t(std::min<uint64_t>(chunk.size(), ands - cur.andIndex));
+        if (n > 0)
+            source(chunk.data(), n);
+        evaluateGates(netlist, labels, cur, chunk.data(), n);
+    } while (!cur.done(netlist));
+    return outputLabels(netlist, labels);
 }
 
 std::vector<Label>
@@ -69,30 +113,28 @@ evaluateStreaming(const Netlist &netlist,
                   const std::vector<Label> &input_labels,
                   const TableSource &source)
 {
-    if (input_labels.size() != netlist.numInputs())
-        throw std::invalid_argument(
-            "evaluateStreaming: wrong input label count");
-    std::vector<Label> labels(netlist.numWires());
-    for (uint32_t w = 0; w < netlist.numInputs(); ++w)
-        labels[w] = input_labels[w];
+    return evaluateStreaming(
+        netlist, input_labels, kSingleTableChunk,
+        [&](GarbledTable *out, size_t n) {
+            for (size_t i = 0; i < n; ++i)
+                out[i] = source();
+        });
+}
 
-    uint64_t and_index = 0;
-    for (uint32_t g = 0; g < netlist.numGates(); ++g) {
-        const Gate &gate = netlist.gates[g];
-        const WireId wout = netlist.outputWireOf(g);
-        if (gate.op == GateOp::Xor) {
-            labels[wout] = labels[gate.a] ^ labels[gate.b];
-        } else {
-            const GarbledTable table = source();
-            labels[wout] = evaluateAnd(labels[gate.a], labels[gate.b],
-                                       table, and_index++);
-        }
-    }
-    std::vector<Label> outs;
-    outs.reserve(netlist.outputs.size());
-    for (WireId w : netlist.outputs)
-        outs.push_back(labels[w]);
-    return outs;
+std::vector<Label>
+evaluateTables(const Netlist &netlist,
+               const std::vector<Label> &input_labels,
+               const std::vector<GarbledTable> &tables)
+{
+    if (tables.size() != netlist.numAndGates())
+        throw TableCountError(
+            "evaluate: " + std::to_string(tables.size()) +
+            " tables for " + std::to_string(netlist.numAndGates()) +
+            " AND gates");
+    std::vector<Label> labels = wireLabels(netlist, input_labels);
+    GateCursor cur;
+    evaluateGates(netlist, labels, cur, tables.data(), tables.size());
+    return outputLabels(netlist, labels);
 }
 
 } // namespace haac

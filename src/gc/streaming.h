@@ -1,23 +1,27 @@
 /**
  * @file
- * Streaming garble/evaluate: gate-at-a-time processing with tables
- * delivered through callbacks instead of materialized vectors.
+ * Streaming garble/evaluate: the gate kernel (gc/garble.h) driven a
+ * chunk of tables at a time, with tables handed to and pulled from
+ * the caller instead of materialized per circuit.
  *
  * This is how a real deployment pipelines: the Garbler streams each
- * AND table onto the wire the moment it is produced, and the Evaluator
- * consumes them in order — exactly the producer/consumer discipline
- * HAAC's table queues implement in hardware (§3.1.2). Results are
- * bit-identical to the batch Garbler/Evaluator classes.
+ * segment of AND tables onto the wire the moment it is produced, and
+ * the Evaluator consumes them in order — exactly the producer/consumer
+ * discipline HAAC's table queues implement in hardware (§3.1.2). The
+ * chunk size never changes a result: any chunking is bit-identical to
+ * one pass.
  */
 #ifndef HAAC_GC_STREAMING_H
 #define HAAC_GC_STREAMING_H
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "circuit/netlist.h"
 #include "crypto/label.h"
+#include "gc/garble.h"
 
 namespace haac {
 
@@ -27,35 +31,20 @@ using TableSink = std::function<void(const GarbledTable &)>;
 /** Supplies the next table on demand, in gate order. */
 using TableSource = std::function<GarbledTable()>;
 
-/** Outcome of a streaming garble: everything but the tables. */
-struct StreamedGarbling
-{
-    Label globalOffset;
-    /** Zero labels of primary inputs only (wires [0, numInputs)). */
-    std::vector<Label> inputZeroLabels;
-    /** Zero labels of the primary outputs, for decode bits. */
-    std::vector<Label> outputZeroLabels;
-    uint64_t tablesEmitted = 0;
-};
+/** Receives the next @p n tables, in gate order. */
+using TableChunkSink = std::function<void(const GarbledTable *, size_t)>;
 
-/**
- * Garble @p netlist, pushing each table to @p sink as it is created.
- *
- * Uses O(wires) label memory but never stores tables; deterministic
- * and bit-identical to Garbler(netlist, seed).
- */
-StreamedGarbling garbleStreaming(const Netlist &netlist, uint64_t seed,
-                                 const TableSink &sink);
+/** Fills @p out with the next @p n tables, in gate order. */
+using TableChunkSource = std::function<void(GarbledTable *out, size_t n)>;
 
 /**
  * Two-phase streaming garbler, for protocols that must transfer input
  * labels *before* the table stream starts (a remote evaluator needs
  * its input labels up front so it can consume tables as they arrive).
  *
- * Construction draws the global offset and all primary-input labels —
- * from the same PRG sequence as Garbler / garbleStreaming, so the
- * result is bit-identical — and run() then garbles the gates, emitting
- * each table the moment it exists.
+ * Construction draws the global offset and all primary-input labels
+ * from the seed's PRG; garbling then runs the gate kernel, emitting
+ * tables a chunk at a time. Deterministic per seed.
  */
 class StreamingGarbler
 {
@@ -76,16 +65,27 @@ class StreamingGarbler
     }
 
     /**
-     * Garble every gate in order, streaming AND tables to @p sink.
+     * Garble onward into @p out (room for @p capacity tables).
      *
-     * Callable once; afterwards the output accessors below are valid.
+     * @return tables written; done() once every gate is garbled.
      */
+    size_t garbleInto(GarbledTable *out, size_t capacity);
+
+    bool done() const { return cursor_.done(*netlist_); }
+
+    /**
+     * Garble every gate, handing @p sink chunks of up to
+     * @p chunk_tables tables (a streamed segment). Callable once.
+     */
+    void run(uint32_t chunk_tables, const TableChunkSink &sink);
+
+    /** As above, one table per @p sink call. */
     void run(const TableSink &sink);
 
-    /** @name Valid after run() */
+    /** @name Valid once done() */
     /// @{
     const std::vector<Label> &outputZeroLabels() const { return outZero_; }
-    uint64_t tablesEmitted() const { return tablesEmitted_; }
+    uint64_t tablesEmitted() const { return cursor_.andIndex; }
 
     /** Output decode bit i (lsb of the output's zero label). */
     bool
@@ -98,21 +98,39 @@ class StreamingGarbler
   private:
     const Netlist *netlist_;
     Label r_;
-    std::vector<Label> zero_; ///< inputs at ctor; all wires after run()
+    std::vector<Label> zero_; ///< inputs at ctor; all wires once done
     std::vector<Label> outZero_;
-    uint64_t tablesEmitted_ = 0;
+    GateCursor cursor_;
     bool ran_ = false;
 };
 
 /**
- * Evaluate with tables pulled on demand from @p source (in order).
+ * Evaluate with tables pulled from @p source, asking for
+ * min(@p chunk_tables, tables left) at a time.
  *
  * @return active labels of the primary outputs.
  */
 std::vector<Label>
 evaluateStreaming(const Netlist &netlist,
                   const std::vector<Label> &input_labels,
+                  uint32_t chunk_tables, const TableChunkSource &source);
+
+/** As above, one table per @p source call. */
+std::vector<Label>
+evaluateStreaming(const Netlist &netlist,
+                  const std::vector<Label> &input_labels,
                   const TableSource &source);
+
+/**
+ * Evaluate over every AND table of the circuit at once.
+ *
+ * @throws TableCountError unless @p tables holds exactly
+ *         netlist.numAndGates() tables.
+ * @return active labels of the primary outputs.
+ */
+std::vector<Label> evaluateTables(const Netlist &netlist,
+                                  const std::vector<Label> &input_labels,
+                                  const std::vector<GarbledTable> &tables);
 
 } // namespace haac
 

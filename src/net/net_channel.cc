@@ -29,6 +29,15 @@ NetChannel::setFlushThreshold(size_t bytes)
 }
 
 void
+NetChannel::sendTableSegments(const std::vector<GarbledTable> &tables,
+                              uint32_t segment_tables)
+{
+    const size_t step = std::max<size_t>(segment_tables, 1);
+    for (size_t at = 0; at < tables.size(); at += step)
+        sendTables(tables.data() + at, std::min(step, tables.size() - at));
+}
+
+void
 NetChannel::flush()
 {
     if (outBuffer_.empty())

@@ -48,6 +48,14 @@ class NetChannel : public ByteChannel
     /** Change the coalescing threshold (takes effect on next write). */
     void setFlushThreshold(size_t bytes);
 
+    /**
+     * Send @p tables @p segment_tables per write. With the flush
+     * threshold at one segment of tables, every full segment leaves as
+     * one frame — the framing one sendTable() per table would produce.
+     */
+    void sendTableSegments(const std::vector<GarbledTable> &tables,
+                           uint32_t segment_tables);
+
     Transport &transport() { return *transport_; }
 
   protected:

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "gc/instance.h"
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 #include "gc/streaming.h"
 #include "net/net_channel.h"
@@ -16,40 +16,31 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Tag for the garbler's sim-OT burn seed (mixed with the private
- *  garbling seed; never derivable from anything on the wire). */
-constexpr uint64_t kSimBurnTag = 0x73696d5f6f74ull; // "sim_ot"
-
 /**
- * Circuit agreement check + OT parameters + segmenting, 38 bytes.
+ * Circuit agreement check + segmenting + OT setup reuse, 38 bytes.
  *
- * Wire layout (little-endian), which tests/test_net.cc parses when it
- * plays a hand-rolled peer: six u32 shape fields (offsets 0..23), the
- * shared sim-OT pad seed (offset 24, u64), segmentTables (offset 32,
- * u32), otMode (offset 36, u8: 0 = sim-ot, 1 = iknp), otCached
- * (offset 37, u8: 1 = this session reuses the connection's cached
- * base-OT + IKNP setup and skips the base phase).
- *
- * The sim-OT seed is *fresh randomness*, not a derivation of the
- * garbling seed: the evaluator sees it in cleartext, and the old
- * otSeedFrom(seed) derivation was an invertible mix — a receiver
- * could recover the garbling seed and with it the burn pads, i.e.
- * both labels of every OT.
+ * Wire layout (little-endian), which tests/test_net.cc writes when it
+ * plays a hand-rolled peer: six u32 shape fields (offsets 0..23),
+ * eight reserved bytes (offset 24: written as zero, ignored on read),
+ * segmentTables (offset 32, u32), the OT byte (offset 36, u8: always
+ * 1 = IKNP, and an evaluator refuses any other value before it sends
+ * a byte), otCached (offset 37, u8: 1 = this session reuses the
+ * connection's cached base-OT + IKNP setup and skips the base phase).
  */
 struct Fingerprint
 {
+    static constexpr uint8_t kIknp = 1;
+    static constexpr size_t kBytes = 6 * 4 + 8 + 4 + 1 + 1;
+
     uint32_t garblerInputs = 0;
     uint32_t evaluatorInputs = 0;
     uint32_t gates = 0;
     uint32_t andGates = 0;
     uint32_t outputs = 0;
     uint32_t constOne = 0;
-    uint64_t otSeed = 0;
     uint32_t segmentTables = 0;
-    OtMode otMode = OtMode::Iknp;
+    uint8_t ot = kIknp;
     bool otCached = false;
-
-    static constexpr size_t kBytes = 6 * 4 + 8 + 4 + 1 + 1;
 
     static Fingerprint
     of(const Netlist &nl)
@@ -79,9 +70,9 @@ struct Fingerprint
         u32(outputs);
         u32(constOne);
         for (int i = 0; i < 8; ++i)
-            out[at++] = uint8_t(otSeed >> (8 * i));
+            out[at++] = 0; // reserved
         u32(segmentTables);
-        out[at++] = otMode == OtMode::Iknp ? 1 : 0;
+        out[at++] = ot;
         out[at++] = otCached ? 1 : 0;
     }
 
@@ -102,17 +93,14 @@ struct Fingerprint
         fp.andGates = u32();
         fp.outputs = u32();
         fp.constOne = u32();
-        uint64_t seed = 0;
-        for (int i = 0; i < 8; ++i)
-            seed |= uint64_t(in[at++]) << (8 * i);
-        fp.otSeed = seed;
+        at += 8; // reserved
         fp.segmentTables = u32();
-        fp.otMode = in[at++] != 0 ? OtMode::Iknp : OtMode::Simulated;
+        fp.ot = in[at++];
         fp.otCached = in[at++] != 0;
         return fp;
     }
 
-    /** Shape equality (OT parameters / segmenting are garbler's). */
+    /** Shape equality (OT setup / segmenting are the garbler's). */
     bool
     sameCircuit(const Fingerprint &o) const
     {
@@ -157,9 +145,12 @@ struct LiveGarblerSource
     }
 
     void
-    emitTables(NetChannel &chan)
+    emitTables(NetChannel &chan, uint32_t segment_tables)
     {
-        garbler.run([&](const GarbledTable &t) { chan.sendTable(t); });
+        garbler.run(segment_tables,
+                    [&](const GarbledTable *tables, size_t n) {
+                        chan.sendTables(tables, n);
+                    });
     }
 
     bool decodeBit(size_t i) const { return garbler.decodeBit(i); }
@@ -177,10 +168,9 @@ struct InstanceGarblerSource
     }
 
     void
-    emitTables(NetChannel &chan)
+    emitTables(NetChannel &chan, uint32_t segment_tables)
     {
-        for (const GarbledTable &t : instance->tables)
-            chan.sendTable(t);
+        chan.sendTableSegments(instance->tables, segment_tables);
     }
 
     bool decodeBit(size_t i) const { return instance->decodeBit(i); }
@@ -190,16 +180,12 @@ struct InstanceGarblerSource
  * The garbler's protocol, parameterized over where labels and tables
  * come from (a live StreamingGarbler or a captured GarbledInstance) —
  * the wire traffic is identical either way.
- *
- * @param sim_burn_seed secret seed for sim-OT burn pads (unused under
- *        IKNP); must never be derivable from on-wire values.
  */
 template <typename Source>
 RemoteResult
 runGarblerFrom(const Netlist &netlist,
                const std::vector<bool> &garbler_bits,
-               Transport &transport, Source &src,
-               uint64_t sim_burn_seed, bool pooled,
+               Transport &transport, Source &src, bool pooled,
                const RemoteOptions &opts)
 {
     if (garbler_bits.size() != netlist.numGarblerInputs)
@@ -212,7 +198,6 @@ runGarblerFrom(const Netlist &netlist,
     RemoteResult res;
     res.gates = netlist.numGates();
     res.segmentTables = segment_tables;
-    res.otMode = opts.otMode;
     res.pooledGarbling = pooled;
     NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
 
@@ -220,9 +205,8 @@ runGarblerFrom(const Netlist &netlist,
     const uint32_t m = netlist.numEvaluatorInputs;
 
     // Base-OT cache: reuse only when this connection already holds a
-    // ready extension sender (the first IKNP session populates it).
-    OtConnectionCache *ot_cache =
-        opts.otMode == OtMode::Iknp ? opts.otCache : nullptr;
+    // ready extension sender (the first session populates it).
+    OtConnectionCache *ot_cache = opts.otCache;
     const bool reuse_ot = ot_cache != nullptr &&
                           ot_cache->sender != nullptr &&
                           ot_cache->sender->ready() && m > 0;
@@ -230,9 +214,7 @@ runGarblerFrom(const Netlist &netlist,
 
     // Fingerprint: agree on the circuit before any label moves.
     Fingerprint fp = Fingerprint::of(netlist);
-    fp.otSeed = randomSeed();
     fp.segmentTables = segment_tables;
-    fp.otMode = opts.otMode;
     fp.otCached = reuse_ot;
     uint8_t fp_bytes[Fingerprint::kBytes];
     fp.serialize(fp_bytes);
@@ -240,76 +222,49 @@ runGarblerFrom(const Netlist &netlist,
     chan.flush();
     res.controlBytes += sizeof(fp_bytes);
 
-    if (opts.otMode == OtMode::Iknp) {
-        // --- Real OT phase (before any other label traffic). ---
-        size_t base = chan.bytesSent();
-        const size_t uplink_base = chan.bytesReceived();
-        if (m > 0) {
-            std::unique_ptr<OtExtSender> fresh;
-            OtExtSender *ot = nullptr;
-            if (reuse_ot) {
-                ot_cache->sender->rebind(chan, chan);
-                ot = ot_cache->sender.get();
-            } else {
-                fresh = std::make_unique<OtExtSender>(chan, chan,
-                                                      otRandomKey());
-                fresh->setup(); // blocks on evaluator's base-OT key
-                ot = fresh.get();
-            }
-            std::vector<Label> m0(m), m1(m);
-            for (uint32_t i = 0; i < m; ++i) {
-                m0[i] = src.activeLabel(eval_base + i, false);
-                m1[i] = src.activeLabel(eval_base + i, true);
-            }
-            ot->send(m0, m1);
-            if (ot_cache != nullptr && fresh != nullptr)
-                ot_cache->sender = std::move(fresh);
+    // --- OT phase (before any other label traffic). ---
+    size_t base = chan.bytesSent();
+    const size_t uplink_base = chan.bytesReceived();
+    if (m > 0) {
+        std::unique_ptr<OtExtSender> fresh;
+        OtExtSender *ot = nullptr;
+        if (reuse_ot) {
+            ot_cache->sender->rebind(chan, chan);
+            ot = ot_cache->sender.get();
+        } else {
+            fresh = std::make_unique<OtExtSender>(chan, chan,
+                                                  otRandomKey());
+            fresh->setup(); // blocks on evaluator's base-OT key
+            ot = fresh.get();
         }
-        if (netlist.constOne != kNoWire)
-            chan.sendLabel(src.activeLabel(netlist.constOne, true));
-        res.otBytes = chan.bytesSent() - base;
-        res.otUplinkBytes = chan.bytesReceived() - uplink_base;
-        chan.flush();
-
-        // Garbler's own input labels, flushed so the table stream
-        // starts on a frame boundary (both sides' segment counters
-        // must window the same frames).
-        base = chan.bytesSent();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
-        res.inputLabelBytes = chan.bytesSent() - base;
-        chan.flush();
-    } else {
-        // --- Simulated OT: evaluator uplinks its choices in the
-        // clear; pads come from the fingerprint's fresh shared seed,
-        // burns from a secret seed that never hits the wire. ---
-        std::vector<uint8_t> choices(m);
-        if (!choices.empty())
-            chan.recvBytes(choices.data(), choices.size());
-        res.controlBytes += choices.size();
-
-        size_t base = chan.bytesSent();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
-        res.inputLabelBytes = chan.bytesSent() - base;
-
-        base = chan.bytesSent();
-        OtSender ot(chan, fp.otSeed, sim_burn_seed);
+        std::vector<Label> m0(m), m1(m);
         for (uint32_t i = 0; i < m; ++i) {
-            const WireId wire = eval_base + i;
-            ot.send(src.activeLabel(wire, false),
-                    src.activeLabel(wire, true), choices[i] != 0);
+            m0[i] = src.activeLabel(eval_base + i, false);
+            m1[i] = src.activeLabel(eval_base + i, true);
         }
-        if (netlist.constOne != kNoWire)
-            chan.sendLabel(src.activeLabel(netlist.constOne, true));
-        res.otBytes = chan.bytesSent() - base;
-        chan.flush();
+        ot->send(m0, m1);
+        if (ot_cache != nullptr && fresh != nullptr)
+            ot_cache->sender = std::move(fresh);
     }
+    if (netlist.constOne != kNoWire)
+        chan.sendLabel(src.activeLabel(netlist.constOne, true));
+    res.otBytes = chan.bytesSent() - base;
+    res.otUplinkBytes = chan.bytesReceived() - uplink_base;
+    chan.flush();
+
+    // Garbler's own input labels, flushed so the table stream starts
+    // on a frame boundary (both sides' segment counters must window
+    // the same frames).
+    base = chan.bytesSent();
+    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
+        chan.sendLabel(src.activeLabel(i, garbler_bits[i]));
+    res.inputLabelBytes = chan.bytesSent() - base;
+    chan.flush();
 
     // Table stream: one frame per segment of tables.
-    size_t base = chan.bytesSent();
+    base = chan.bytesSent();
     const uint64_t frames_before = transport.framesSent();
-    src.emitTables(chan);
+    src.emitTables(chan, segment_tables);
     chan.flush();
     res.tableBytes = chan.bytesSent() - base;
     res.tableSegments = transport.framesSent() - frames_before;
@@ -343,8 +298,8 @@ runRemoteGarbler(const Netlist &netlist,
                  const RemoteOptions &opts)
 {
     LiveGarblerSource src(netlist, seed);
-    return runGarblerFrom(netlist, garbler_bits, transport, src,
-                          splitmix64(seed ^ kSimBurnTag), false, opts);
+    return runGarblerFrom(netlist, garbler_bits, transport, src, false,
+                          opts);
 }
 
 RemoteResult
@@ -359,11 +314,7 @@ runRemoteGarbler(const Netlist &netlist,
         throw std::invalid_argument(
             "runRemoteGarbler: instance does not match the netlist");
     InstanceGarblerSource src{&instance};
-    // The instance's garbling seed is gone by design; sim-OT burn
-    // pads draw fresh entropy instead (they only need to be secret
-    // and unrelated to anything on the wire).
-    return runGarblerFrom(netlist, garbler_bits, transport, src,
-                          splitmix64(randomSeed() ^ kSimBurnTag), true,
+    return runGarblerFrom(netlist, garbler_bits, transport, src, true,
                           opts);
 }
 
@@ -388,91 +339,74 @@ runRemoteEvaluator(const Netlist &netlist,
     res.controlBytes += sizeof(fp_bytes);
     const Fingerprint remote_fp = Fingerprint::deserialize(fp_bytes);
     res.segmentTables = remote_fp.segmentTables;
-    res.otMode = remote_fp.otMode;
     const Fingerprint local_fp = Fingerprint::of(netlist);
     if (!remote_fp.sameCircuit(local_fp))
         throw NetError("remote circuit mismatch: local {" +
                        local_fp.shapeString() + "} vs garbler {" +
                        remote_fp.shapeString() + "}");
+    // The garbler picks the fingerprint, so a garbler naming any other
+    // OT must be refused here, before this side's choice bits go
+    // anywhere near the wire.
+    if (remote_fp.ot != Fingerprint::kIknp)
+        throw NetError("garbler asked for OT mode " +
+                       std::to_string(remote_fp.ot) +
+                       "; only IKNP (1) is spoken");
 
     const uint32_t eval_base = netlist.numGarblerInputs;
     const uint32_t m = netlist.numEvaluatorInputs;
     std::vector<Label> inputs(netlist.numInputs());
 
-    if (remote_fp.otMode == OtMode::Iknp) {
-        // --- Real OT phase, mirroring the garbler. The fingerprint's
-        // otCached byte decides for both sides whether the base phase
-        // runs: a garbler reusing its cached extension sender would
-        // deadlock against a fresh receiver (and vice versa). ---
-        res.otSetupReused = remote_fp.otCached;
-        const size_t uplink_base = chan.bytesSent();
-        size_t base = chan.bytesReceived();
-        if (m > 0) {
-            OtConnectionCache *cache = opts.otCache;
-            std::unique_ptr<OtExtReceiver> fresh;
-            OtExtReceiver *ot = nullptr;
-            if (remote_fp.otCached) {
-                if (cache == nullptr || cache->receiver == nullptr ||
-                    !cache->receiver->ready())
-                    throw NetError("garbler expects a cached OT setup, "
-                                   "but this connection has none");
-                cache->receiver->rebind(chan, chan);
-                ot = cache->receiver.get();
-            } else {
-                fresh = std::make_unique<OtExtReceiver>(chan, chan,
-                                                        otRandomKey());
-                fresh->start();
-                fresh->setup();
-                ot = fresh.get();
-            }
-            ot->sendChoices(evaluator_bits);
-            const std::vector<Label> labels = ot->receiveLabels();
-            for (uint32_t i = 0; i < m; ++i)
-                inputs[eval_base + i] = labels[i];
-            if (cache != nullptr && fresh != nullptr)
-                cache->receiver = std::move(fresh);
-        }
-        if (netlist.constOne != kNoWire)
-            inputs[netlist.constOne] = chan.recvLabel();
-        res.otBytes = chan.bytesReceived() - base;
-        res.otUplinkBytes = chan.bytesSent() - uplink_base;
-
-        // Garbler input labels.
-        base = chan.bytesReceived();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            inputs[i] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-    } else {
-        // Send OT choice bits.
-        std::vector<uint8_t> choices(m);
-        for (uint32_t i = 0; i < m; ++i)
-            choices[i] = evaluator_bits[i] ? 1 : 0;
-        if (!choices.empty())
-            chan.sendBytes(choices.data(), choices.size());
-        chan.flush();
-        res.controlBytes += choices.size();
-
-        // Garbler input labels.
-        size_t base = chan.bytesReceived();
-        for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
-            inputs[i] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-
-        // Own inputs via simulated OT + the public constant.
-        base = chan.bytesReceived();
-        OtReceiver ot(chan, remote_fp.otSeed);
-        for (uint32_t i = 0; i < m; ++i)
-            inputs[eval_base + i] = ot.receive(evaluator_bits[i]);
-        if (netlist.constOne != kNoWire)
-            inputs[netlist.constOne] = chan.recvLabel();
-        res.otBytes = chan.bytesReceived() - base;
-    }
-
-    // Evaluate, pulling tables from the stream as they arrive.
+    // --- OT phase, mirroring the garbler. The fingerprint's otCached
+    // byte decides for both sides whether the base phase runs: a
+    // garbler reusing its cached extension sender would deadlock
+    // against a fresh receiver (and vice versa). ---
+    res.otSetupReused = remote_fp.otCached;
+    const size_t uplink_base = chan.bytesSent();
     size_t base = chan.bytesReceived();
+    if (m > 0) {
+        OtConnectionCache *cache = opts.otCache;
+        std::unique_ptr<OtExtReceiver> fresh;
+        OtExtReceiver *ot = nullptr;
+        if (remote_fp.otCached) {
+            if (cache == nullptr || cache->receiver == nullptr ||
+                !cache->receiver->ready())
+                throw NetError("garbler expects a cached OT setup, "
+                               "but this connection has none");
+            cache->receiver->rebind(chan, chan);
+            ot = cache->receiver.get();
+        } else {
+            fresh = std::make_unique<OtExtReceiver>(chan, chan,
+                                                    otRandomKey());
+            fresh->start();
+            fresh->setup();
+            ot = fresh.get();
+        }
+        ot->sendChoices(evaluator_bits);
+        const std::vector<Label> labels = ot->receiveLabels();
+        for (uint32_t i = 0; i < m; ++i)
+            inputs[eval_base + i] = labels[i];
+        if (cache != nullptr && fresh != nullptr)
+            cache->receiver = std::move(fresh);
+    }
+    if (netlist.constOne != kNoWire)
+        inputs[netlist.constOne] = chan.recvLabel();
+    res.otBytes = chan.bytesReceived() - base;
+    res.otUplinkBytes = chan.bytesSent() - uplink_base;
+
+    // Garbler input labels.
+    base = chan.bytesReceived();
+    for (uint32_t i = 0; i < netlist.numGarblerInputs; ++i)
+        inputs[i] = chan.recvLabel();
+    res.inputLabelBytes = chan.bytesReceived() - base;
+
+    // Evaluate, one segment of tables at a time as they arrive.
+    base = chan.bytesReceived();
     const uint64_t frames_before = transport.framesReceived();
-    std::vector<Label> out_labels = evaluateStreaming(
-        netlist, inputs, [&] { return chan.recvTable(); });
+    const std::vector<Label> out_labels = evaluateStreaming(
+        netlist, inputs, remote_fp.segmentTables,
+        [&](GarbledTable *tables, size_t n) {
+            chan.recvTables(tables, n);
+        });
     res.tableBytes = chan.bytesReceived() - base;
     res.tableSegments = transport.framesReceived() - frames_before;
 

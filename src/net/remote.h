@@ -4,25 +4,22 @@
  *
  * Both parties hold the same Netlist (the circuit is public; a
  * 38-byte fingerprint exchanged up front catches disagreement before
- * any label moves and carries the garbler's OT mode + base-OT cache
- * decision). The protocol
- * then runs the OT phase — real base-OT + IKNP extension by default
- * (gc/ot_ext.h), the deterministic simulation under
- * OtMode::Simulated — after which the garbler streams input labels,
- * garbled tables in segments, and decode bits, while the evaluator
- * consumes tables the moment they arrive via the gc/streaming
- * machinery: memory stays O(wires) while communication is
- * O(AND gates).
+ * any label moves and carries the garbler's segmenting + base-OT
+ * cache decision). The protocol then runs the OT phase — base OT +
+ * IKNP extension with the KOS15 check (gc/ot_ext.h) — after which the
+ * garbler streams input labels, garbled tables in segments, and
+ * decode bits, while the evaluator runs the gate kernel over each
+ * segment the moment it arrives (gc/streaming.h): memory stays
+ * O(wires) while communication is O(AND gates).
  *
  * Byte accounting matches the in-process ProtocolResult *exactly*,
  * category by category (tables, input labels, OT down- and uplink,
  * output decode): the four downlink categories count protocol payload
  * in the garbler→evaluator direction, otUplinkBytes the real OT's
  * evaluator→garbler traffic, all measured identically by both sides.
- * The circuit fingerprint, the simulation's plaintext choice bits,
- * and the result echo that lets the garbler learn the output too are
- * control traffic, reported separately — the in-process baseline has
- * no analogue for them.
+ * The circuit fingerprint and the result echo that lets the garbler
+ * learn the output too are control traffic, reported separately — the
+ * in-process baseline has no analogue for them.
  */
 #ifndef HAAC_NET_REMOTE_H
 #define HAAC_NET_REMOTE_H
@@ -32,7 +29,6 @@
 #include <vector>
 
 #include "circuit/netlist.h"
-#include "gc/ot.h"
 #include "gc/ot_ext.h"
 #include "net/transport.h"
 
@@ -67,15 +63,8 @@ struct RemoteOptions
     /** Garbled tables per streamed segment frame (>= 1). */
     uint32_t segmentTables = 1024;
     /**
-     * OT construction for the evaluator's input labels. The garbler's
-     * setting governs (carried to the evaluator in the fingerprint,
-     * like segmentTables); real IKNP OT is the default, the
-     * simulation stays selectable for deterministic traffic tests.
-     */
-    OtMode otMode = OtMode::Iknp;
-    /**
-     * Borrowed per-connection OT cache (IKNP only); null runs the
-     * base-OT phase every session, the pre-cache behavior.
+     * Borrowed per-connection OT cache; null runs the base-OT phase
+     * every session, the pre-cache behavior.
      */
     OtConnectionCache *otCache = nullptr;
 };
@@ -97,15 +86,12 @@ struct RemoteResult
     /// @}
 
     /**
-     * Evaluator→garbler OT traffic (base-OT public key + masked
-     * columns); zero under the simulation, whose only uplink is the
-     * plaintext choice bits counted as control traffic.
+     * Evaluator→garbler OT traffic (base-OT public key, masked
+     * columns and the KOS15 proof).
      */
     uint64_t otUplinkBytes = 0;
-    /** OT construction this session actually ran (garbler's pick). */
-    OtMode otMode = OtMode::Iknp;
 
-    /** Fingerprint + sim-OT choice bits + result echo (both ways). */
+    /** Fingerprint + result echo (both ways). */
     uint64_t controlBytes = 0;
     /** Frames the table stream used (one per segment). */
     uint64_t tableSegments = 0;
@@ -157,6 +143,9 @@ RemoteResult runRemoteGarbler(const Netlist &netlist,
 
 /**
  * Run the evaluator's side over an established (handshaken) transport.
+ *
+ * Throws NetError before sending anything when the garbler's
+ * fingerprint names another circuit or any OT but IKNP.
  *
  * @param evaluator_bits this party's input bits.
  */

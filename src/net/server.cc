@@ -143,7 +143,6 @@ makeRemoteReport(const RemoteResult &result, Role role,
     report.net.controlBytes = result.controlBytes;
     report.net.tableSegments = result.tableSegments;
     report.net.segmentTables = result.segmentTables;
-    report.net.otMode = result.otMode;
     report.net.gates = result.gates;
     report.net.gatesPerSecond = result.gatesPerSecond();
     report.hasNet = true;
@@ -179,7 +178,6 @@ makeChainReport(const chain::ChainResult &result, Role role,
     report.net.controlBytes = result.controlBytes;
     report.net.tableSegments = result.tableSegments;
     report.net.segmentTables = result.segmentTables;
-    report.net.otMode = OtMode::Iknp; // chaining refuses sim-ot
     report.net.gates = result.gates;
     report.net.gatesPerSecond =
         result.seconds > 0 ? double(result.gates) / result.seconds : 0;
@@ -396,7 +394,6 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
 
     RemoteOptions ropts;
     ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
     if (opts_.cacheBaseOt)
         ropts.otCache = &ot_cache;
     const Role server_role = client == PeerRole::Garbler
@@ -523,7 +520,6 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
 
     RemoteOptions ropts;
     ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
     if (opts_.cacheBaseOt)
         ropts.otCache = &ot_cache;
     const Role server_role = client == PeerRole::Garbler
@@ -580,9 +576,6 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
 
     std::shared_ptr<const chain::ChainWorkload> wl;
     try {
-        if (opts_.otMode != OtMode::Iknp)
-            throw NetError("chained sessions require IKNP OT; this "
-                           "server is running simulated OT");
         wl = resolveChainCached(spec);
     } catch (const NetError &e) {
         ack(false, e.what());
@@ -592,7 +585,6 @@ GcServer::serveChainSession(Transport &transport, uint64_t session_id,
 
     RemoteOptions ropts;
     ropts.segmentTables = opts_.segmentTables;
-    ropts.otMode = opts_.otMode;
     if (opts_.cacheBaseOt)
         ropts.otCache = &ot_cache;
     const Role server_role = client == PeerRole::Garbler

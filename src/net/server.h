@@ -133,8 +133,6 @@ struct ServerOptions
     bool shardWorker = false;
     /** Garbled tables per streamed segment frame. */
     uint32_t segmentTables = 1024;
-    /** OT construction when this server garbles (`--sim-ot` flips). */
-    OtMode otMode = OtMode::Iknp;
     /** Session i garbles with seedBase + i (when the server garbles). */
     uint64_t seedBase = 0x4841414331ull;
     /** Per-session RunReport JSON-Lines sink (null = don't emit). */

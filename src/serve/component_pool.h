@@ -7,53 +7,37 @@
  * chaining layer (chain/link.h) breaks that coupling: circuits are
  * DAGs of standard components, and components garble independently of
  * the plan that will contain them. This pool keeps a bounded queue of
- * ready GarbledComponents per (kind, width), so the request-time cost
- * of a *never-before-seen* plan collapses to link-table construction —
- * the whole point of ROADMAP arc 2's "garble once, link at request
- * time".
+ * ready GarbledComponents per (kind, width), keyed by
+ * ComponentSpec::name(), so the request-time cost of a
+ * *never-before-seen* plan collapses to link-table construction — the
+ * "garble once, link at request time" of the chaining layer.
  *
- * The machinery mirrors GarblePool deliberately (filler threads,
- * low-water hysteresis, pop-transfers-ownership, miss = garble
- * inline); keyed by ComponentSpec::name() instead of a workload spec.
- * The same security invariant applies: a popped component is gone —
- * linking one garbling into two sessions hands the second evaluator
- * both labels of every linked wire (tests/test_chain.cc replays the
- * attack).
+ * The queues, fillers, hysteresis and the pop-once invariant are the
+ * shared ReadyPool (serve/ready_pool.h): linking one garbling into two
+ * sessions hands the second evaluator both labels of every linked
+ * wire (tests/test_chain.cc replays the attack).
  */
 #ifndef HAAC_SERVE_COMPONENT_POOL_H
 #define HAAC_SERVE_COMPONENT_POOL_H
 
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
-#include <thread>
-#include <vector>
 
 #include "chain/component.h"
 #include "chain/link.h"
-#include "serve/pool.h"
+#include "serve/ready_pool.h"
 
 namespace haac {
 namespace serve {
 
 /**
- * Bounded queues of ready garbled components, refilled in the
- * background. Thread-safe; one pool serves a whole GcServer. Reuses
- * PoolOptions / PoolStats from serve/pool.h — the knobs mean the same
- * thing per tracked component spec.
+ * Ready garbled components per component spec. Thread-safe; one pool
+ * serves a whole GcServer. PoolOptions mean the same thing per
+ * tracked component spec as per GarblePool workload spec.
  */
-class ComponentPool
+class ComponentPool : public ReadyPool<chain::GarbledComponent>
 {
   public:
-    explicit ComponentPool(const PoolOptions &opts = {});
-    ~ComponentPool();
-
-    ComponentPool(const ComponentPool &) = delete;
-    ComponentPool &operator=(const ComponentPool &) = delete;
+    using ReadyPool::ReadyPool;
 
     /** Start keeping @p spec's queue full (idempotent). */
     void track(const chain::ComponentSpec &spec);
@@ -66,12 +50,10 @@ class ComponentPool
      * (a miss — caller garbles inline). Ownership transfers.
      */
     std::unique_ptr<chain::GarbledComponent>
-    tryPop(const chain::ComponentSpec &spec);
-
-    /** Block until every tracked spec's queue is full. */
-    void prewarm();
-
-    PoolStats stats() const;
+    tryPop(const chain::ComponentSpec &spec)
+    {
+        return ReadyPool::tryPop(spec.name());
+    }
 
     /**
      * A ComponentProvider backed by this pool: pops when a component
@@ -79,29 +61,6 @@ class ComponentPool
      * must outlive every protocol run using the provider.
      */
     chain::ComponentProvider provider();
-
-  private:
-    struct SpecQueue
-    {
-        chain::ComponentSpec spec;
-        std::deque<std::unique_ptr<chain::GarbledComponent>> ready;
-        size_t inflight = 0;
-        bool filling = true;
-    };
-
-    void fillerLoop();
-
-    PoolOptions opts_;
-    mutable std::mutex mutex_;
-    std::condition_variable work_;
-    std::condition_variable full_;
-    std::map<std::string, SpecQueue> specs_;
-    std::vector<std::thread> fillers_;
-    uint64_t produced_ = 0;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t nextSeedOffset_ = 0;
-    bool stop_ = false;
 };
 
 } // namespace serve

@@ -1,148 +1,19 @@
 #include "serve/pool.h"
 
-#include <algorithm>
-
-#include "crypto/prg.h"
+#include <memory>
 
 namespace haac {
 namespace serve {
 
-GarblePool::GarblePool(const PoolOptions &opts) : opts_(opts)
-{
-    if (opts_.depth == 0)
-        opts_.depth = 1;
-    if (opts_.threads == 0)
-        opts_.threads = 1;
-    fillers_.reserve(opts_.threads);
-    for (size_t i = 0; i < opts_.threads; ++i)
-        fillers_.emplace_back([this] { fillerLoop(); });
-}
-
-GarblePool::~GarblePool()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_ = true;
-    }
-    work_.notify_all();
-    for (std::thread &t : fillers_)
-        t.join();
-}
-
 void
 GarblePool::track(const std::string &spec, const Netlist &netlist)
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (specs_.count(spec) != 0)
-            return;
-        specs_.emplace(spec, SpecQueue{netlist, {}, 0, true});
-    }
-    work_.notify_all();
-}
-
-std::unique_ptr<GarbledInstance>
-GarblePool::tryPop(const std::string &spec)
-{
-    std::unique_ptr<GarbledInstance> inst;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = specs_.find(spec);
-        if (it == specs_.end() || it->second.ready.empty()) {
-            ++misses_;
-            return nullptr;
-        }
-        inst = std::move(it->second.ready.front());
-        it->second.ready.pop_front();
-        ++hits_;
-    }
-    work_.notify_all(); // the queue just got needy
-    return inst;
-}
-
-void
-GarblePool::prewarm()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    full_.wait(lock, [this] {
-        if (stop_)
-            return true;
-        for (const auto &kv : specs_)
-            if (kv.second.ready.size() < opts_.depth)
-                return false;
-        return true;
+    if (tracks(spec))
+        return; // the server re-tracks every session: skip the copy
+    auto owned = std::make_shared<const Netlist>(netlist);
+    ReadyPool::track(spec, [owned](uint64_t seed) {
+        return captureGarbling(*owned, seed);
     });
-}
-
-PoolStats
-GarblePool::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    PoolStats s;
-    s.produced = produced_;
-    s.hits = hits_;
-    s.misses = misses_;
-    s.tracked = specs_.size();
-    for (const auto &kv : specs_)
-        s.ready += kv.second.ready.size();
-    return s;
-}
-
-void
-GarblePool::fillerLoop()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        // A queue is needy while it is filling toward depth; once
-        // full it stays quiet until it drains below the low-water
-        // trigger (lowWater 0 = trigger on any vacancy).
-        auto needy = [this](SpecQueue &q) {
-            const size_t level = q.ready.size() + q.inflight;
-            if (level >= opts_.depth) {
-                q.filling = false;
-                return false;
-            }
-            if (!q.filling) {
-                const size_t low =
-                    std::min(opts_.lowWater, opts_.depth);
-                if (low != 0 && level >= low)
-                    return false;
-                q.filling = true;
-            }
-            return true;
-        };
-        SpecQueue *target = nullptr;
-        work_.wait(lock, [&] {
-            if (stop_)
-                return true;
-            for (auto &kv : specs_) {
-                if (needy(kv.second)) {
-                    target = &kv.second;
-                    return true;
-                }
-            }
-            return false;
-        });
-        if (stop_)
-            return;
-
-        ++target->inflight;
-        const uint64_t seed = opts_.seedBase != 0
-                                  ? opts_.seedBase + nextSeedOffset_++
-                                  : randomSeed();
-        // Copy the netlist so garbling runs without the lock; the
-        // map node (and thus `target`) is stable across the unlock
-        // because specs are never untracked.
-        const Netlist netlist = target->netlist;
-        lock.unlock();
-        auto inst = std::make_unique<GarbledInstance>(
-            captureGarbling(netlist, seed));
-        lock.lock();
-        --target->inflight;
-        ++produced_;
-        target->ready.push_back(std::move(inst));
-        full_.notify_all();
-    }
 }
 
 } // namespace serve

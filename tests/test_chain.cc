@@ -461,20 +461,6 @@ TEST(ChainProtocol, SegmentOneStreamsTableByTable)
     EXPECT_EQ(eres.tableSegments, wl.plan.totalAndGates());
 }
 
-TEST(ChainProtocol, SimulatedOtModeRefused)
-{
-    const ChainWorkload wl = resolveChainWorkload("ChainMillSum:8");
-    auto [gend, eend] = LoopbackTransport::createPair();
-    RemoteOptions opts;
-    opts.otMode = OtMode::Simulated;
-    EXPECT_THROW(runChainGarbler(wl.plan, wl.garblerBits, *gend,
-                                 freshComponentProvider(1), opts),
-                 std::invalid_argument);
-    EXPECT_THROW(runChainEvaluator(wl.plan, wl.evaluatorBits, *eend,
-                                   opts),
-                 std::invalid_argument);
-}
-
 TEST(ChainProtocol, PlanMismatchFailsClosed)
 {
     // Garbler linking one plan, evaluator expecting another: the
@@ -627,40 +613,6 @@ TEST(ChainFreshness, ReusedComponentForgesUnauthorizedEvaluations)
 // ComponentPool
 // ---------------------------------------------------------------------------
 
-TEST(ComponentPool, PrewarmPopAndStats)
-{
-    serve::PoolOptions popts;
-    popts.depth = 2;
-    popts.seedBase = 1000;
-    serve::ComponentPool pool(popts);
-    pool.track({ComponentKind::Add, 8});
-    pool.track({ComponentKind::Add, 8}); // idempotent
-    pool.track({ComponentKind::Cmp, 8});
-    pool.prewarm();
-
-    serve::PoolStats s = pool.stats();
-    EXPECT_EQ(s.tracked, 2u);
-    EXPECT_EQ(s.ready, 4u);
-    EXPECT_EQ(s.produced, 4u);
-
-    const auto a = pool.tryPop({ComponentKind::Add, 8});
-    const auto b = pool.tryPop({ComponentKind::Add, 8});
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_TRUE(a->spec == ComponentSpec({ComponentKind::Add, 8}));
-
-    // Pool freshness, PR 5/8 shape: two pops share no randomness.
-    EXPECT_FALSE(a->inst.globalOffset == b->inst.globalOffset);
-    for (size_t w = 0; w < a->inst.inputZero.size(); ++w)
-        EXPECT_FALSE(a->inst.inputZero[w] == b->inst.inputZero[w]);
-
-    // Untracked spec: a miss, never a stall.
-    EXPECT_EQ(pool.tryPop({ComponentKind::Mul, 8}), nullptr);
-    s = pool.stats();
-    EXPECT_EQ(s.hits, 2u);
-    EXPECT_EQ(s.misses, 1u);
-}
-
 TEST(ComponentPool, PooledChainedSessionBitIdentical)
 {
     const ChainWorkload wl = resolveChainWorkload("ChainProdCmp:8");
@@ -782,41 +734,22 @@ TEST(ChainServer, ServesChainSpecsBothRolesWithComponentPool)
     EXPECT_NE(json.find("\"pooled_components\":3"), std::string::npos);
 }
 
-TEST(ChainServer, RefusesUnknownChainSpecAndSimOt)
+TEST(ChainServer, RefusesUnknownChainSpec)
 {
-    {
-        ServerOptions opts;
-        opts.threads = 1;
-        GcServer server(opts);
-        auto [client_end, server_end] = LoopbackTransport::createPair();
-        server.submit(std::move(server_end));
-        try {
-            clientHello(*client_end, PeerRole::Garbler, "ChainNoSuch:8");
-            FAIL() << "unknown chain spec was accepted";
-        } catch (const NetError &e) {
-            EXPECT_NE(std::string(e.what()).find("ChainNoSuch"),
-                      std::string::npos);
-        }
-        server.drain();
-        EXPECT_EQ(server.totals().sessionsFailed, 1u);
+    ServerOptions opts;
+    opts.threads = 1;
+    GcServer server(opts);
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    try {
+        clientHello(*client_end, PeerRole::Garbler, "ChainNoSuch:8");
+        FAIL() << "unknown chain spec was accepted";
+    } catch (const NetError &e) {
+        EXPECT_NE(std::string(e.what()).find("ChainNoSuch"),
+                  std::string::npos);
     }
-    {
-        ServerOptions opts;
-        opts.threads = 1;
-        opts.otMode = OtMode::Simulated;
-        GcServer server(opts);
-        auto [client_end, server_end] = LoopbackTransport::createPair();
-        server.submit(std::move(server_end));
-        try {
-            clientHello(*client_end, PeerRole::Evaluator,
-                        "ChainMillSum:8");
-            FAIL() << "sim-ot server accepted a chained session";
-        } catch (const NetError &e) {
-            EXPECT_NE(std::string(e.what()).find("IKNP"),
-                      std::string::npos);
-        }
-        server.drain();
-    }
+    server.drain();
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
 }
 
 TEST(ChainSession, WithChainPlanRunsChainedRemoteAndMonolithicLocal)

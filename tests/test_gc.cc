@@ -2,21 +2,24 @@
  * @file
  * Garbled-circuits protocol tests: Half-Gate correctness for all input
  * combinations, FreeXOR/NOT label algebra, whole-circuit garbling vs
- * plaintext on random circuits (property test), OT, channel accounting,
- * and the end-to-end protocol.
+ * plaintext on random circuits (property test), the chunked gate
+ * kernel, a golden garbling digest, channel accounting, and the
+ * end-to-end protocol.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <string>
 
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "crypto/prg.h"
-#include "gc/evaluator.h"
-#include "gc/garbler.h"
-#include "gc/ot.h"
+#include "gc/garble.h"
+#include "gc/instance.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
+#include "workloads/vip.h"
 
 namespace haac {
 namespace {
@@ -53,13 +56,14 @@ TEST(HalfGate, FixedKeyVariantAlsoCorrect)
     const Label a0 = prg.nextLabel();
     const Label b0 = prg.nextLabel();
     FixedKeyHasher h;
+    const FixedKeyGateHash hash{h};
 
-    HalfGateGarbled hg = garbleAndFixedKey(h, a0, b0, r, 7);
+    HalfGateGarbled hg = garbleAnd(a0, b0, r, 7, hash);
     for (bool va : {false, true}) {
         for (bool vb : {false, true}) {
             const Label la = va ? a0 ^ r : a0;
             const Label lb = vb ? b0 ^ r : b0;
-            const Label lc = evaluateAndFixedKey(h, la, lb, hg.table, 7);
+            const Label lc = evaluateAnd(la, lb, hg.table, 7, hash);
             EXPECT_EQ(lc, (va && vb) ? hg.outZero ^ r : hg.outZero);
         }
     }
@@ -90,10 +94,9 @@ TEST(Garbler, XorGatesAreFree)
     Wire b = cb.evaluatorInput();
     cb.addOutput(cb.xorGate(a, b));
     Netlist nl = cb.build();
-    Garbler g(nl, 1);
-    EXPECT_EQ(g.tables().size(), 0u);
-    EXPECT_EQ(g.zeroLabel(nl.outputs[0]),
-              g.zeroLabel(a) ^ g.zeroLabel(b));
+    const GarbledInstance g = captureGarbling(nl, 1);
+    EXPECT_EQ(g.tables.size(), 0u);
+    EXPECT_EQ(g.outputZero[0], g.inputZero[a] ^ g.inputZero[b]);
 }
 
 TEST(Garbler, GlobalOffsetHasLsbSet)
@@ -103,7 +106,7 @@ TEST(Garbler, GlobalOffsetHasLsbSet)
     cb.addOutput(a);
     Netlist nl = cb.build();
     for (uint64_t seed : {1ull, 2ull, 3ull})
-        EXPECT_TRUE(Garbler(nl, seed).globalOffset().lsb());
+        EXPECT_TRUE(captureGarbling(nl, seed).globalOffset.lsb());
 }
 
 TEST(Garbler, DeterministicPerSeed)
@@ -113,9 +116,11 @@ TEST(Garbler, DeterministicPerSeed)
     Wire b = cb.evaluatorInput();
     cb.addOutput(cb.andGate(a, b));
     Netlist nl = cb.build();
-    Garbler g1(nl, 9), g2(nl, 9), g3(nl, 10);
-    EXPECT_EQ(g1.tables()[0], g2.tables()[0]);
-    EXPECT_FALSE(g1.tables()[0] == g3.tables()[0]);
+    const GarbledInstance g1 = captureGarbling(nl, 9);
+    const GarbledInstance g2 = captureGarbling(nl, 9);
+    const GarbledInstance g3 = captureGarbling(nl, 10);
+    EXPECT_EQ(g1.tables[0], g2.tables[0]);
+    EXPECT_FALSE(g1.tables[0] == g3.tables[0]);
 }
 
 /** Build a random AND/XOR/NOT circuit and check GC == plaintext. */
@@ -190,29 +195,15 @@ TEST(Protocol, TrafficAccounting)
     cb.addOutputs(mulBits(cb, a, b, 8));
     Netlist nl = cb.build();
 
-    // Simulated OT: two masked labels per evaluator bit + const-one
-    // label, and no uplink at all.
-    ProtocolResult res = runProtocol(nl, u64ToBits(7, 8),
-                                     u64ToBits(9, 8), 0x4841414331ull,
-                                     OtMode::Simulated);
-    EXPECT_EQ(bitsToU64(res.outputs), 63u);
-    EXPECT_EQ(res.tableBytes, nl.numAndGates() * kTableBytes);
-    EXPECT_EQ(res.inputLabelBytes, 8 * kLabelBytes);
-    EXPECT_EQ(res.otBytes, 8 * 2 * kLabelBytes + kLabelBytes);
-    EXPECT_EQ(res.otUplinkBytes, 0u);
-    EXPECT_EQ(res.totalBytes,
-              res.tableBytes + res.inputLabelBytes + res.otBytes +
-                  res.outputDecodeBytes);
-
-    // Real OT (the default): the downlink carries the 128 base-OT
-    // points plus one masked label pair per evaluator bit plus the
-    // const-one label; the uplink carries the base-OT public key
-    // plus 128 masked columns of one 16-byte block each.
+    // The downlink carries the 128 base-OT points plus one masked
+    // label pair per evaluator bit plus the const-one label; the
+    // uplink carries the base-OT public key plus 128 masked columns of
+    // one 16-byte block each.
     ProtocolResult real = runProtocol(nl, u64ToBits(7, 8),
                                       u64ToBits(9, 8));
     EXPECT_EQ(bitsToU64(real.outputs), 63u);
-    EXPECT_EQ(real.tableBytes, res.tableBytes);
-    EXPECT_EQ(real.inputLabelBytes, res.inputLabelBytes);
+    EXPECT_EQ(real.tableBytes, nl.numAndGates() * kTableBytes);
+    EXPECT_EQ(real.inputLabelBytes, 8 * kLabelBytes);
     EXPECT_EQ(real.otBytes,
               128 * 32 + 8 * 2 * kLabelBytes + kLabelBytes);
     // Base public key + two masked column blocks (the real block and
@@ -233,20 +224,6 @@ TEST(Protocol, RejectsWrongInputCounts)
     EXPECT_THROW(runProtocol(nl, {}, {true}), std::invalid_argument);
     EXPECT_THROW(runProtocol(nl, {true, false}, {true}),
                  std::invalid_argument);
-}
-
-TEST(Ot, TransfersChosenLabelOnly)
-{
-    Channel chan;
-    OtSender sender(chan, 77);
-    OtReceiver receiver(chan, 77);
-    Prg prg(5);
-    for (bool choice : {false, true, true, false}) {
-        const Label m0 = prg.nextLabel();
-        const Label m1 = prg.nextLabel();
-        sender.send(m0, m1, choice);
-        EXPECT_EQ(receiver.receive(choice), choice ? m1 : m0);
-    }
 }
 
 TEST(Channel, FifoAndCounters)
@@ -272,44 +249,117 @@ TEST(Channel, UnderflowThrows)
     EXPECT_THROW(chan.recvBit(), std::runtime_error);
 }
 
-TEST(Evaluator, TooFewTablesThrows)
-{
-    CircuitBuilder cb;
-    Wire a = cb.garblerInput();
-    Wire b = cb.evaluatorInput();
-    cb.addOutput(cb.andGate(a, b));
-    Netlist nl = cb.build();
-    Evaluator ev(nl);
-    std::vector<Label> inputs(nl.numInputs());
-    EXPECT_THROW(ev.evaluate(inputs, {}), std::invalid_argument);
-}
-
-TEST(Streaming, MatchesBatchGarblerBitForBit)
+/** Kernel test circuits: a multiplier, one ending in XORs, no ANDs. */
+Netlist
+kernelCircuit(int which)
 {
     CircuitBuilder cb;
     Bits a = cb.garblerInputs(8);
     Bits b = cb.evaluatorInputs(8);
-    Bits m = mulBits(cb, a, b, 8);
-    cb.addOutputs(addBits(cb, m, a));
-    Netlist nl = cb.build();
+    if (which == 0) {
+        cb.addOutputs(mulBits(cb, a, b, 8));
+    } else if (which == 1) {
+        cb.addOutputs(xorBits(cb, mulBits(cb, a, b, 8), a));
+    } else {
+        cb.addOutputs(xorBits(cb, a, b));
+        cb.addOutput(cb.notGate(a[0]));
+    }
+    return cb.build();
+}
 
-    const uint64_t seed = 77;
-    Garbler batch(nl, seed);
+/** Active labels for seeded input bits; @p bits gets the bits. */
+std::vector<Label>
+activeInputs(const Netlist &nl, const GarbledInstance &g,
+             std::vector<bool> &gbits, std::vector<bool> &ebits)
+{
+    Prg prg(nl.numGates());
+    gbits.resize(nl.numGarblerInputs);
+    ebits.resize(nl.numEvaluatorInputs);
+    std::vector<Label> inputs(nl.numInputs());
+    for (WireId w = 0; w < nl.numInputs(); ++w) {
+        bool bit = true; // const-one
+        if (w < nl.numGarblerInputs)
+            bit = gbits[w] = prg.nextBit();
+        else if (w < nl.numGarblerInputs + nl.numEvaluatorInputs)
+            bit = ebits[w - nl.numGarblerInputs] = prg.nextBit();
+        inputs[w] = g.activeLabel(w, bit);
+    }
+    return inputs;
+}
 
-    std::vector<GarbledTable> streamed;
-    StreamedGarbling sg = garbleStreaming(
-        nl, seed,
-        [&streamed](const GarbledTable &t) { streamed.push_back(t); });
+TEST(GateKernel, AnyChunkingIsBitIdenticalToOnePass)
+{
+    for (int which : {0, 1, 2}) {
+        const Netlist nl = kernelCircuit(which);
+        SCOPED_TRACE("circuit " + std::to_string(which));
+        ASSERT_EQ(nl.numAndGates() == 0, which == 2);
+        if (which == 1) {
+            ASSERT_EQ(nl.gates.back().op, GateOp::Xor);
+        }
+        const GarbledInstance one_pass = captureGarbling(nl, 31);
+        std::vector<bool> gbits, ebits;
+        const std::vector<Label> inputs =
+            activeInputs(nl, one_pass, gbits, ebits);
+        const std::vector<Label> ref_out =
+            evaluateTables(nl, inputs, one_pass.tables);
+        std::vector<bool> decoded(ref_out.size());
+        for (size_t i = 0; i < ref_out.size(); ++i)
+            decoded[i] = ref_out[i].lsb() != one_pass.decodeBit(i);
+        EXPECT_EQ(decoded, nl.evaluate(gbits, ebits));
 
-    EXPECT_EQ(sg.globalOffset, batch.globalOffset());
-    ASSERT_EQ(streamed.size(), batch.tables().size());
-    for (size_t i = 0; i < streamed.size(); ++i)
-        EXPECT_EQ(streamed[i], batch.tables()[i]) << "table " << i;
-    for (uint32_t w = 0; w < nl.numInputs(); ++w)
-        EXPECT_EQ(sg.inputZeroLabels[w], batch.zeroLabel(w));
-    for (size_t i = 0; i < nl.outputs.size(); ++i)
-        EXPECT_EQ(sg.outputZeroLabels[i],
-                  batch.zeroLabel(nl.outputs[i]));
+        const uint32_t ands = nl.numAndGates();
+        for (uint32_t chunk : {1u, 7u, 1024u, ands}) {
+            SCOPED_TRACE("chunk " + std::to_string(chunk));
+            StreamingGarbler sg(nl, 31);
+            std::vector<GarbledTable> tables;
+            sg.run(chunk, [&](const GarbledTable *t, size_t n) {
+                EXPECT_LE(n, std::max(chunk, 1u));
+                tables.insert(tables.end(), t, t + n);
+            });
+            EXPECT_EQ(tables, one_pass.tables);
+            EXPECT_EQ(sg.outputZeroLabels(), one_pass.outputZero);
+            EXPECT_EQ(sg.tablesEmitted(), ands);
+
+            size_t next = 0;
+            const std::vector<Label> out = evaluateStreaming(
+                nl, inputs, chunk, [&](GarbledTable *t, size_t n) {
+                    EXPECT_EQ(n, std::min<size_t>(std::max(chunk, 1u),
+                                                  ands - next));
+                    std::copy_n(one_pass.tables.begin() + long(next), n,
+                                t);
+                    next += n;
+                });
+            EXPECT_EQ(next, ands);
+            EXPECT_EQ(out, ref_out);
+        }
+    }
+}
+
+TEST(GateKernel, StopsAtTheFirstAndGateWithoutATable)
+{
+    const Netlist nl = kernelCircuit(1);
+    const GarbledInstance g = captureGarbling(nl, 5);
+    std::vector<bool> gbits, ebits;
+    const std::vector<Label> inputs = activeInputs(nl, g, gbits, ebits);
+    std::vector<Label> labels = inputs;
+    labels.resize(nl.numWires());
+    GateCursor cur;
+    const size_t short_by_one = g.tables.size() - 1;
+    EXPECT_EQ(evaluateGates(nl, labels, cur, g.tables.data(),
+                            short_by_one),
+              short_by_one);
+    EXPECT_FALSE(cur.done(nl));
+    EXPECT_EQ(cur.andIndex, short_by_one);
+    EXPECT_EQ(nl.gates[cur.gate].op, GateOp::And);
+
+    // A whole-circuit evaluation with too few (or too many) tables is
+    // a typed error, not a short read.
+    std::vector<GarbledTable> tables = g.tables;
+    tables.pop_back();
+    EXPECT_THROW(evaluateTables(nl, inputs, tables), TableCountError);
+    tables.push_back(g.tables.back());
+    tables.push_back(g.tables.back());
+    EXPECT_THROW(evaluateTables(nl, inputs, tables), TableCountError);
 }
 
 TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
@@ -320,27 +370,19 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
     cb.addOutputs(mulBits(cb, a, b, 16));
     Netlist nl = cb.build();
 
-    // A bounded "network" FIFO between the two parties.
-    std::deque<GarbledTable> wire_fifo;
-    StreamedGarbling sg = garbleStreaming(
-        nl, 5, [&wire_fifo](const GarbledTable &t) {
-            wire_fifo.push_back(t);
-        });
-
+    // Input labels exist before any table; tables cross a "network"
+    // FIFO between the two parties one at a time.
+    StreamingGarbler sg(nl, 5);
     const uint64_t x = 321, y = 207;
     std::vector<Label> inputs(nl.numInputs());
-    for (uint32_t w = 0; w < 16; ++w)
-        inputs[w] = ((x >> w) & 1) ? sg.inputZeroLabels[w] ^
-                                         sg.globalOffset
-                                   : sg.inputZeroLabels[w];
-    for (uint32_t w = 0; w < 16; ++w)
-        inputs[16 + w] = ((y >> w) & 1)
-                             ? sg.inputZeroLabels[16 + w] ^
-                                   sg.globalOffset
-                             : sg.inputZeroLabels[16 + w];
-    inputs[nl.constOne] =
-        sg.inputZeroLabels[nl.constOne] ^ sg.globalOffset;
+    for (uint32_t w = 0; w < 16; ++w) {
+        inputs[w] = sg.activeLabel(w, (x >> w) & 1);
+        inputs[16 + w] = sg.activeLabel(16 + w, (y >> w) & 1);
+    }
+    inputs[nl.constOne] = sg.activeLabel(nl.constOne, true);
 
+    std::deque<GarbledTable> wire_fifo;
+    sg.run([&wire_fifo](const GarbledTable &t) { wire_fifo.push_back(t); });
     std::vector<Label> outs =
         evaluateStreaming(nl, inputs, [&wire_fifo]() {
             GarbledTable t = wire_fifo.front();
@@ -350,12 +392,43 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
     EXPECT_TRUE(wire_fifo.empty());
 
     uint64_t result = 0;
-    for (size_t i = 0; i < outs.size(); ++i) {
-        const bool bit =
-            outs[i].lsb() != sg.outputZeroLabels[i].lsb();
-        result |= uint64_t(bit) << i;
-    }
+    for (size_t i = 0; i < outs.size(); ++i)
+        result |= uint64_t(outs[i].lsb() != sg.decodeBit(i)) << i;
     EXPECT_EQ(result, (x * y) & 0xffff);
+}
+
+TEST(GarblingKat, HammDigestIsPinned)
+{
+    // Golden garbling: an FNV-1a digest over every AND table, every
+    // input zero label and every decode bit of Hamm at a fixed seed.
+    // The byte-count trajectories cannot see a change in label or
+    // table values; this can.
+    const Workload wl = vipWorkload("Hamm", false);
+    const GarbledInstance inst = captureGarbling(wl.netlist, 0x4b4154);
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const uint8_t *p, size_t n) {
+        for (size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    };
+    uint8_t buf[kLabelBytes];
+    auto mixLabel = [&](const Label &l) {
+        l.toBytes(buf);
+        mix(buf, sizeof(buf));
+    };
+    ASSERT_EQ(inst.tables.size(), 16369u);
+    for (const GarbledTable &t : inst.tables) {
+        mixLabel(t.tg);
+        mixLabel(t.te);
+    }
+    for (const Label &l : inst.inputZero)
+        mixLabel(l);
+    for (size_t i = 0; i < inst.outputZero.size(); ++i) {
+        const uint8_t d = inst.decodeBit(i) ? 1 : 0;
+        mix(&d, 1);
+    }
+    EXPECT_EQ(h, 0x364928f9c215180eull);
 }
 
 TEST(SoftwareGc, TimingProducesThroughput)

@@ -20,7 +20,6 @@
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "gc/base_ot.h"
-#include "gc/garbler.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
 #include "net/loopback.h"
@@ -78,12 +77,11 @@ adderCircuit(uint32_t bits)
 std::pair<RemoteResult, RemoteResult>
 runRemotePair(const Netlist &nl, const std::vector<bool> &gbits,
               const std::vector<bool> &ebits, uint64_t seed,
-              uint32_t segment_tables, OtMode ot_mode = OtMode::Iknp)
+              uint32_t segment_tables)
 {
     auto [gend, eend] = LoopbackTransport::createPair();
     RemoteOptions opts;
     opts.segmentTables = segment_tables;
-    opts.otMode = ot_mode;
     RemoteResult gres, eres;
     PeerThread garbler([&, t = std::move(gend)] {
         t->handshake(PeerRole::Garbler);
@@ -98,13 +96,11 @@ runRemotePair(const Netlist &nl, const std::vector<bool> &gbits,
 void
 expectMatchesProtocol(const Netlist &nl, const std::vector<bool> &gbits,
                       const std::vector<bool> &ebits, uint64_t seed,
-                      uint32_t segment_tables,
-                      OtMode ot_mode = OtMode::Iknp)
+                      uint32_t segment_tables)
 {
-    const ProtocolResult ref =
-        runProtocol(nl, gbits, ebits, seed, ot_mode);
-    auto [gres, eres] = runRemotePair(nl, gbits, ebits, seed,
-                                      segment_tables, ot_mode);
+    const ProtocolResult ref = runProtocol(nl, gbits, ebits, seed);
+    auto [gres, eres] =
+        runRemotePair(nl, gbits, ebits, seed, segment_tables);
 
     for (const RemoteResult *r : {&gres, &eres}) {
         EXPECT_EQ(r->outputs, ref.outputs);
@@ -114,9 +110,35 @@ expectMatchesProtocol(const Netlist &nl, const std::vector<bool> &gbits,
         EXPECT_EQ(r->otUplinkBytes, ref.otUplinkBytes);
         EXPECT_EQ(r->outputDecodeBytes, ref.outputDecodeBytes);
         EXPECT_EQ(r->totalBytes, ref.totalBytes);
-        EXPECT_EQ(r->otMode, ot_mode);
     }
     EXPECT_EQ(gres.tableSegments, eres.tableSegments);
+}
+
+/**
+ * The remote fingerprint as a hand-rolled garbler writes it (layout in
+ * net/remote.cc): six u32 shape fields, eight reserved zero bytes,
+ * u32 segmentTables, the OT byte (1 = IKNP, the only value an
+ * evaluator accepts) and the otCached byte. 38 bytes.
+ */
+std::vector<uint8_t>
+handRolledFingerprint(const Netlist &nl, uint8_t ot_byte)
+{
+    std::vector<uint8_t> fp;
+    auto u32 = [&](uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            fp.push_back(uint8_t(v >> (8 * i)));
+    };
+    u32(nl.numGarblerInputs);
+    u32(nl.numEvaluatorInputs);
+    u32(nl.numGates());
+    u32(nl.numAndGates());
+    u32(uint32_t(nl.outputs.size()));
+    u32(nl.constOne);
+    fp.resize(fp.size() + 8, 0);
+    u32(1024);
+    fp.push_back(ot_byte);
+    fp.push_back(0);
+    return fp;
 }
 
 } // namespace
@@ -351,27 +373,6 @@ TEST(Channel, LargeTrafficReclaimsConsumedPrefix)
 // StreamingGarbler (two-phase streaming)
 // ---------------------------------------------------------------------------
 
-TEST(StreamingGarbler, BitIdenticalToBatchGarbler)
-{
-    const Workload wl = makeMillionaire(24);
-    const uint64_t seed = 99;
-    const Garbler batch(wl.netlist, seed);
-
-    StreamingGarbler sg(wl.netlist, seed);
-    EXPECT_EQ(sg.globalOffset(), batch.globalOffset());
-    for (uint32_t w = 0; w < wl.netlist.numInputs(); ++w)
-        EXPECT_EQ(sg.inputZeroLabel(w), batch.zeroLabel(w));
-
-    // Input labels are available BEFORE any table is produced — the
-    // property the remote protocol is built on.
-    std::vector<GarbledTable> streamed;
-    sg.run([&](const GarbledTable &t) { streamed.push_back(t); });
-    EXPECT_EQ(streamed, batch.tables());
-    EXPECT_EQ(sg.tablesEmitted(), batch.tables().size());
-    for (size_t i = 0; i < wl.netlist.outputs.size(); ++i)
-        EXPECT_EQ(sg.decodeBit(i), batch.decodeBit(i));
-}
-
 TEST(StreamingGarbler, RunTwiceThrows)
 {
     const Workload wl = makeMillionaire(4);
@@ -512,15 +513,6 @@ TEST(Remote, WrongInputCountThrows)
                  std::invalid_argument);
 }
 
-TEST(Remote, SimOtModeMatchesProtocolExactly)
-{
-    // The fixed simulation stays selectable and still pins the
-    // in-process accounting category-exact.
-    const Workload wl = makeMillionaire(24);
-    expectMatchesProtocol(wl.netlist, wl.garblerBits, wl.evaluatorBits,
-                          21, 64, OtMode::Simulated);
-}
-
 TEST(Remote, AllVipWorkloadsBitIdenticalUnderRealOt)
 {
     // The acceptance invariant: remote-gc over loopback with real OT
@@ -530,116 +522,8 @@ TEST(Remote, AllVipWorkloadsBitIdenticalUnderRealOt)
         SCOPED_TRACE(name);
         const Workload wl = vipWorkload(name, false);
         expectMatchesProtocol(wl.netlist, wl.garblerBits,
-                              wl.evaluatorBits, 0x4841414331ull, 1024,
-                              OtMode::Iknp);
+                              wl.evaluatorBits, 0x4841414331ull, 1024);
     }
-}
-
-namespace {
-
-/**
- * What a hand-rolled sim-OT evaluator observes on the wire: the
- * fingerprint's shared OT seed plus the two OT ciphertexts for one
- * choice-0 transfer over a 1-gate XOR circuit.
- */
-struct SimOtWireView
-{
-    uint64_t otSeed = 0;
-    Label c0, c1;
-};
-
-SimOtWireView
-runSimOtGarblerAgainstRawEvaluator(const Netlist &nl, uint64_t seed)
-{
-    auto [gend, eend] = LoopbackTransport::createPair();
-    RemoteOptions opts;
-    opts.otMode = OtMode::Simulated;
-    PeerThread garbler([&, t = std::move(gend)] {
-        t->handshake(PeerRole::Garbler);
-        runRemoteGarbler(nl, {true}, *t, seed, opts);
-    });
-
-    eend->handshake(PeerRole::Evaluator);
-    NetChannel chan(*eend, 256);
-    SimOtWireView view;
-    // Fingerprint layout (remote.cc): six u32 shape fields, then the
-    // u64 sim-OT pad seed at offset 24, segmentTables, otMode byte,
-    // otCached byte.
-    uint8_t fp[38];
-    chan.recvBytes(fp, sizeof(fp));
-    for (int i = 0; i < 8; ++i)
-        view.otSeed |= uint64_t(fp[24 + i]) << (8 * i);
-    EXPECT_EQ(fp[36], 0) << "otMode byte should say sim-ot";
-
-    const uint8_t choice = 0;
-    chan.sendBytes(&choice, 1);
-    chan.recvLabel(); // garbler's input label
-    view.c0 = chan.recvLabel();
-    view.c1 = chan.recvLabel();
-    chan.recvBit(); // decode bit (no tables: XOR-only circuit)
-    chan.sendBit(false); // result echo, so the garbler completes
-    chan.flush();
-    garbler.join();
-    return view;
-}
-
-/** Inverse of the splitmix64 finalizer (public constants). */
-uint64_t
-splitmix64Inverse(uint64_t z)
-{
-    z = z ^ (z >> 31) ^ (z >> 62);
-    z *= 0x319642b2d24d8ec3ull;
-    z = z ^ (z >> 27) ^ (z >> 54);
-    z *= 0x96de1b173f119089ull;
-    z = z ^ (z >> 30) ^ (z >> 60);
-    return z - 0x9e3779b97f4a7c15ull;
-}
-
-} // namespace
-
-TEST(Remote, SimOtSeedIsFreshAndBurnSeedUnrecoverable)
-{
-    // Regression for the simulated-OT seed leak: the wire used to
-    // carry otSeedFrom(seed) — an invertible mix of the garbling
-    // seed — so an evaluator could invert it, derive the burn seed
-    // otSeedFrom(~seed), and unmask the non-chosen label.
-    CircuitBuilder cb;
-    const Wire a = cb.garblerInput();
-    const Wire b = cb.evaluatorInput();
-    cb.addOutput(cb.xorGate(a, b));
-    const Netlist nl = cb.build();
-
-    const uint64_t seed = 0x5eedf00d;
-    const SimOtWireView run1 =
-        runSimOtGarblerAgainstRawEvaluator(nl, seed);
-    const SimOtWireView run2 =
-        runSimOtGarblerAgainstRawEvaluator(nl, seed);
-
-    // Fresh randomness: same garbling seed, different wire seeds —
-    // the shared pad seed is not a function of the garbling seed.
-    EXPECT_NE(run1.otSeed, run2.otSeed);
-
-    // The hand-rolled evaluator's view is coherent: its chosen
-    // ciphertext unmasks with the wire seed's pad stream.
-    StreamingGarbler garbler(nl, seed);
-    const Label m0 = garbler.activeLabel(1, false);
-    const Label m1 = garbler.activeLabel(1, true);
-    Prg pads(run1.otSeed);
-    const Label pad0 = pads.nextLabel();
-    const Label pad1 = pads.nextLabel();
-    EXPECT_EQ(run1.c0 ^ pad0, m0);
-
-    // The old attack, replayed against the fixed protocol: invert the
-    // wire seed's finalizer to a garbling-seed guess, derive the old
-    // burn stream, unmask. Every step must now come up empty.
-    const uint64_t seed_guess = splitmix64Inverse(run1.otSeed);
-    EXPECT_NE(seed_guess, seed);
-    Prg old_burn(splitmix64(~seed_guess));
-    EXPECT_NE(run1.c1 ^ pad1 ^ old_burn.nextLabel(), m1);
-    // Nor does the burn stream of the true seed's old derivation
-    // leak through the fresh wire seed.
-    Prg true_old_burn(splitmix64(~seed));
-    EXPECT_NE(run1.c1 ^ pad1 ^ true_old_burn.nextLabel(), m1);
 }
 
 TEST(Remote, TamperedBaseOtKeyFailsTheGarbler)
@@ -711,6 +595,36 @@ TEST(Remote, BaseOtCacheSkipsTheBasePhaseOnSessionTwo)
     EXPECT_EQ(e2.otUplinkBytes, e1.otUplinkBytes - 32);
     EXPECT_EQ(g2.tableBytes, g1.tableBytes);
     EXPECT_EQ(g2.inputLabelBytes, g1.inputLabelBytes);
+}
+
+TEST(Remote, EvaluatorRefusesANonIknpOtByteBeforeSendingAnything)
+{
+    // Regression for the OT downgrade: byte 36 of the fingerprint once
+    // selected a simulated OT whose evaluator uplinked its input bits
+    // in the clear. Any garbler could ask for it, so the evaluator
+    // must refuse every value but 1 before a single byte goes uplink.
+    const Netlist nl = adderCircuit(8);
+    ASSERT_GT(nl.numEvaluatorInputs, 0u);
+    auto [gend, eend] = LoopbackTransport::createPair();
+    uint64_t uplink_bytes = 0;
+    PeerThread garbler([&, t = std::move(gend)] {
+        t->handshake(PeerRole::Garbler);
+        t->sendFrame(handRolledFingerprint(nl, 0));
+        const uint64_t before = t->rawBytesReceived();
+        try {
+            t->recvFrame();
+        } catch (const NetError &) {
+        }
+        uplink_bytes = t->rawBytesReceived() - before;
+    });
+    eend->handshake(PeerRole::Evaluator);
+    const uint64_t sent_before = eend->rawBytesSent();
+    EXPECT_THROW(runRemoteEvaluator(nl, u64ToBits(0xa5, 8), *eend),
+                 NetError);
+    EXPECT_EQ(eend->rawBytesSent(), sent_before);
+    eend.reset(); // hang up so the garbler's read returns
+    garbler.join();
+    EXPECT_EQ(uplink_bytes, 0u);
 }
 
 TEST(Remote, CachedGarblerRejectsACachelessEvaluator)

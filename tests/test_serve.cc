@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -25,7 +26,9 @@
 #include "net/server.h"
 #include "serve/cache.h"
 #include "serve/compile_cache.h"
+#include "serve/component_pool.h"
 #include "serve/pool.h"
+#include "workloads/priorwork.h"
 #include "workloads/vip.h"
 
 using namespace haac;
@@ -391,59 +394,206 @@ TEST(GarblePool, InstancesAreFreshNeverLabelReuse)
               wl.netlist.evaluate(wl.garblerBits, wl.evaluatorBits));
 }
 
-TEST(GarblePool, TrackPrewarmAndMissAccounting)
+// ---------------------------------------------------------------------------
+// ReadyPool: one suite for both item types
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/** GarblePool: items are GarbledInstances keyed by workload spec. */
+struct GarbleItems
 {
+    using Pool = GarblePool;
+    using Item = GarbledInstance;
+
+    static const Netlist &
+    netlist(int i)
+    {
+        static const Workload wls[2] = {makeMillionaire(16),
+                                        makeAdder(16)};
+        return wls[i].netlist;
+    }
+    static std::string key(int i) { return i == 0 ? "M16" : "A16"; }
+    static void
+    track(Pool &pool, int i)
+    {
+        pool.track(key(i), netlist(i));
+    }
+    static std::unique_ptr<Item>
+    pop(Pool &pool, int i)
+    {
+        return pool.tryPop(key(i));
+    }
+    static Item
+    make(int i, uint64_t seed)
+    {
+        return captureGarbling(netlist(i), seed);
+    }
+    static const GarbledInstance &inst(const Item &item) { return item; }
+};
+
+/** ComponentPool: items are GarbledComponents keyed by spec. */
+struct ComponentItems
+{
+    using Pool = ComponentPool;
+    using Item = chain::GarbledComponent;
+
+    static chain::ComponentSpec
+    spec(int i)
+    {
+        return {i == 0 ? chain::ComponentKind::Add
+                       : chain::ComponentKind::Cmp,
+                16};
+    }
+    static std::string key(int i) { return spec(i).name(); }
+    static void track(Pool &pool, int i) { pool.track(spec(i)); }
+    static std::unique_ptr<Item>
+    pop(Pool &pool, int i)
+    {
+        return pool.tryPop(spec(i));
+    }
+    static Item
+    make(int i, uint64_t seed)
+    {
+        return chain::captureComponent(spec(i), seed);
+    }
+    static const GarbledInstance &
+    inst(const Item &item)
+    {
+        return item.inst;
+    }
+};
+
+template <typename Items>
+class ReadyPoolTest : public ::testing::Test
+{
+};
+
+using PoolItemTypes = ::testing::Types<GarbleItems, ComponentItems>;
+TYPED_TEST_SUITE(ReadyPoolTest, PoolItemTypes);
+
+} // namespace
+
+TYPED_TEST(ReadyPoolTest, EachItemPopsOnceFromItsOwnSeed)
+{
+    // Deterministic seeds make freshness checkable: every popped item
+    // must be the garbling of a distinct seed seedBase + k, so no
+    // item — and no seed — is ever served twice.
+    using Items = TypeParam;
     PoolOptions popts;
     popts.depth = 3;
     popts.threads = 2;
-    GarblePool pool(popts);
+    popts.seedBase = 1000;
+    typename Items::Pool pool(popts);
+    Items::track(pool, 0);
+    std::vector<Label> popped;
+    for (int round = 0; round < 2; ++round) {
+        pool.prewarm();
+        for (size_t i = 0; i < popts.depth; ++i) {
+            const auto item = Items::pop(pool, 0);
+            ASSERT_NE(item, nullptr);
+            popped.push_back(Items::inst(*item).globalOffset);
+        }
+    }
+    pool.prewarm();
+    std::vector<Label> by_seed;
+    for (uint64_t k = 0; k < pool.stats().produced; ++k)
+        by_seed.push_back(
+            Items::inst(Items::make(0, popts.seedBase + k)).globalOffset);
+    std::vector<bool> served(by_seed.size(), false);
+    for (const Label &offset : popped) {
+        const size_t k = size_t(
+            std::find(by_seed.begin(), by_seed.end(), offset) -
+            by_seed.begin());
+        ASSERT_LT(k, by_seed.size()) << "item from no pool seed";
+        EXPECT_FALSE(served[k]) << "seed index " << k << " served twice";
+        served[k] = true;
+    }
+}
 
-    // Untracked spec: a miss, never a crash.
-    EXPECT_EQ(pool.tryPop("NoSuch"), nullptr);
+TYPED_TEST(ReadyPoolTest, PrewarmAndMissAccounting)
+{
+    using Items = TypeParam;
+    PoolOptions popts;
+    popts.depth = 3;
+    popts.threads = 2;
+    typename Items::Pool pool(popts);
+
+    // Untracked key: a miss, never a crash or a stall.
+    EXPECT_EQ(Items::pop(pool, 0), nullptr);
     EXPECT_EQ(pool.stats().misses, 1u);
 
-    const Workload wl = vipWorkload("DotProd", false);
-    pool.track("DotProd", wl.netlist);
-    pool.track("DotProd", wl.netlist); // idempotent
+    Items::track(pool, 0);
+    Items::track(pool, 0); // idempotent
+    Items::track(pool, 1);
+    EXPECT_TRUE(pool.tracks(Items::key(1)));
     pool.prewarm();
 
     PoolStats s = pool.stats();
-    EXPECT_EQ(s.tracked, 1u);
-    EXPECT_EQ(s.ready, popts.depth);
-    EXPECT_GE(s.produced, popts.depth);
+    EXPECT_EQ(s.tracked, 2u);
+    EXPECT_EQ(s.ready, 2 * popts.depth);
+    EXPECT_GE(s.produced, 2 * popts.depth);
 
-    EXPECT_NE(pool.tryPop("DotProd"), nullptr);
-    EXPECT_NE(pool.tryPop("DotProd"), nullptr);
+    EXPECT_NE(Items::pop(pool, 0), nullptr);
+    EXPECT_NE(Items::pop(pool, 1), nullptr);
     s = pool.stats();
     EXPECT_EQ(s.hits, 2u);
+    EXPECT_EQ(s.misses, 1u);
 }
 
-TEST(GarblePool, LowWaterRefillHysteresis)
+TYPED_TEST(ReadyPoolTest, LowWaterRefillHysteresis)
 {
     // lowWater 2, depth 4: one pop leaves the queue at 3 — above the
-    // trigger — so the fillers must stay quiet; draining to 0 trips
-    // the trigger and refills all the way back to depth.
+    // trigger — so the fillers must stay quiet, yet an explicit
+    // prewarm still fills it to depth; draining below 2 trips the
+    // trigger and refills all the way back to depth.
+    using Items = TypeParam;
     PoolOptions popts;
     popts.depth = 4;
     popts.lowWater = 2;
-    GarblePool pool(popts);
-    const Workload wl = vipWorkload("Hamm", false);
-    pool.track("Hamm", wl.netlist);
+    typename Items::Pool pool(popts);
+    Items::track(pool, 0);
     pool.prewarm();
     EXPECT_EQ(pool.stats().produced, 4u);
 
-    EXPECT_NE(pool.tryPop("Hamm"), nullptr);
+    EXPECT_NE(Items::pop(pool, 0), nullptr);
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
     PoolStats s = pool.stats();
     EXPECT_EQ(s.produced, 4u); // no refill above the low-water mark
     EXPECT_EQ(s.ready, 3u);
+    pool.prewarm(); // once blocked forever here
+    EXPECT_EQ(pool.stats().produced, 5u);
 
     for (int i = 0; i < 3; ++i)
-        EXPECT_NE(pool.tryPop("Hamm"), nullptr);
-    pool.prewarm(); // trigger tripped: fills back to depth
+        EXPECT_NE(Items::pop(pool, 0), nullptr);
+    pool.prewarm(); // trigger tripped at 1 ready: fills back to depth
     s = pool.stats();
     EXPECT_EQ(s.produced, 8u);
     EXPECT_EQ(s.ready, 4u);
+}
+
+TYPED_TEST(ReadyPoolTest, DestroyedWhileAFillerIsMidGarble)
+{
+    // The destructor must wait out a maker in flight, not race it.
+    using Items = TypeParam;
+    std::atomic<int> started{0}, finished{0};
+    {
+        PoolOptions popts;
+        popts.depth = 1;
+        typename Items::Pool pool(popts);
+        ReadyPool<typename Items::Item> &base = pool;
+        base.track(Items::key(0), [&](uint64_t seed) {
+            ++started;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            auto item = Items::make(0, seed);
+            ++finished;
+            return item;
+        });
+        while (started.load() == 0)
+            std::this_thread::yield();
+    }
+    EXPECT_EQ(started.load(), 1);
+    EXPECT_EQ(finished.load(), 1);
 }
 
 TEST(GcServer, PooledMultiSessionConnectionWithOtReuse)

@@ -61,6 +61,28 @@ countLines(const std::string &s)
     return n;
 }
 
+/** The remote fingerprint with OT byte @p ot_byte (net/remote.cc). */
+std::vector<uint8_t>
+handRolledFingerprint(const Netlist &nl, uint8_t ot_byte)
+{
+    std::vector<uint8_t> fp;
+    auto u32 = [&](uint32_t v) {
+        for (int i = 0; i < 4; ++i)
+            fp.push_back(uint8_t(v >> (8 * i)));
+    };
+    u32(nl.numGarblerInputs);
+    u32(nl.numEvaluatorInputs);
+    u32(nl.numGates());
+    u32(nl.numAndGates());
+    u32(uint32_t(nl.outputs.size()));
+    u32(nl.constOne);
+    fp.resize(fp.size() + 8, 0);
+    u32(1024);
+    fp.push_back(ot_byte);
+    fp.push_back(0);
+    return fp;
+}
+
 } // namespace
 
 TEST(ResolveWorkload, KnownSpecs)
@@ -119,6 +141,42 @@ TEST(GcServer, ServesOneSessionWithReportLine)
               std::string::npos);
     EXPECT_NE(line.find("\"label\":\"session-0\""), std::string::npos);
     EXPECT_NE(line.find("\"net\""), std::string::npos);
+}
+
+TEST(GcServer, RefusesAnOtDowngradeFromAGarblingClient)
+{
+    // A client that garbles picks the fingerprint; one asking for the
+    // old simulated OT (byte 36 = 0) must not get the server's input
+    // bits uplinked in the clear. The server fails that session
+    // without answering and keeps serving everyone else.
+    ServerOptions opts;
+    opts.threads = 1;
+    GcServer server(opts);
+    const Workload wl = resolveWorkload("Million:16");
+
+    {
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        clientHello(*client_end, PeerRole::Garbler, "Million:16");
+        client_end->sendFrame(handRolledFingerprint(wl.netlist, 0));
+        EXPECT_THROW(client_end->recvFrame(), NetError)
+            << "the server answered a downgraded fingerprint";
+    }
+    server.drain();
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
+    EXPECT_EQ(server.totals().sessionsServed, 0u);
+
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    clientHello(*client_end, PeerRole::Garbler, "Million:16");
+    const RemoteResult res = runRemoteGarbler(
+        wl.netlist, wl.garblerBits, *client_end, 78);
+    client_end.reset();
+    server.drain();
+    EXPECT_EQ(res.outputs,
+              wl.netlist.evaluate(wl.garblerBits, wl.evaluatorBits));
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
+    EXPECT_EQ(server.totals().sessionsServed, 1u);
 }
 
 TEST(GcServer, ClientMayEvaluateToo)
