@@ -90,7 +90,7 @@ main(int argc, char **argv)
     std::printf("Paper anchors: baseline avg 82.6x over CPU; full "
                 "RO+RN+ESW geomean 589x with DDR4.\n");
     std::printf("CPU baseline here is host-measured software GC "
-                "(portable AES); the last column re-bases on the "
-                "paper's AES-NI EMP model.\n");
+                "(re-keyed, AES-NI when present); the last column "
+                "re-bases on the paper's AES-NI EMP model.\n");
     return 0;
 }

@@ -305,12 +305,13 @@ buildLinkTable(const Label &producer_zero, const Label &producer_offset,
                const Label &consumer_zero, const Label &consumer_offset,
                uint64_t link_index)
 {
-    const RekeyedHasher h(linkTweakOf(link_index));
     const Label y1 = producer_zero ^ producer_offset;
     const Label x1 = consumer_zero ^ consumer_offset;
+    Label h[2] = {producer_zero, y1};
+    hashRekeyedFused(linkTweakOf(link_index), h, 2, 0, h);
     LinkTable t;
-    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h(producer_zero);
-    t.row[y1.lsb() ? 1 : 0] = x1 ^ h(y1);
+    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h[0];
+    t.row[y1.lsb() ? 1 : 0] = x1 ^ h[1];
     return t;
 }
 
@@ -318,8 +319,9 @@ Label
 translateLinkLabel(const LinkTable &table, const Label &producer_active,
                    uint64_t link_index)
 {
-    const RekeyedHasher h(linkTweakOf(link_index));
-    return table.row[producer_active.lsb() ? 1 : 0] ^ h(producer_active);
+    Label h;
+    hashRekeyedFused(linkTweakOf(link_index), &producer_active, 1, 0, &h);
+    return table.row[producer_active.lsb() ? 1 : 0] ^ h;
 }
 
 std::vector<LinkTable>

@@ -1,10 +1,9 @@
 #include "crypto/aes128.h"
 
+#include <algorithm>
 #include <cstring>
 
-#if defined(HAAC_USE_AESNI)
-#include <wmmintrin.h>
-#endif
+#include "crypto/aesni.h"
 
 namespace haac {
 
@@ -44,11 +43,6 @@ constexpr uint8_t kSbox[256] = {
     0x9b, 0x1e, 0x87, 0xe9, 0xce, 0x55, 0x28, 0xdf,
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68,
     0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
-};
-
-/** Round constants for the key schedule. */
-constexpr uint8_t kRcon[10] = {
-    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
 };
 
 /** Multiply by x in GF(2^8) mod x^8+x^4+x^3+x+1. */
@@ -104,24 +98,43 @@ addRoundKey(uint8_t s[16], const uint8_t rk[16])
 
 } // namespace
 
-Aes128::Aes128(const uint8_t key[16])
+std::array<uint8_t, kAesExpandedKeyBytes>
+aes128KeySchedulePortable(const uint8_t key[16])
 {
-    std::memcpy(roundKeys_.data(), key, 16);
+    std::array<uint8_t, kAesExpandedKeyBytes> rk;
+    std::memcpy(rk.data(), key, 16);
     for (int i = 4; i < 4 * (kAesRounds + 1); ++i) {
         uint8_t temp[4];
-        std::memcpy(temp, &roundKeys_[4 * (i - 1)], 4);
+        std::memcpy(temp, &rk[4 * (i - 1)], 4);
         if (i % 4 == 0) {
             // RotWord + SubWord + Rcon.
             uint8_t t0 = temp[0];
-            temp[0] = uint8_t(kSbox[temp[1]] ^ kRcon[i / 4 - 1]);
+            temp[0] = uint8_t(kSbox[temp[1]] ^ kAesRcon[i / 4 - 1]);
             temp[1] = kSbox[temp[2]];
             temp[2] = kSbox[temp[3]];
             temp[3] = kSbox[t0];
         }
         for (int b = 0; b < 4; ++b)
-            roundKeys_[4 * i + b] = uint8_t(roundKeys_[4 * (i - 4) + b] ^
-                                            temp[b]);
+            rk[4 * i + b] = uint8_t(rk[4 * (i - 4) + b] ^ temp[b]);
     }
+    return rk;
+}
+
+Aes128::Aes128(const uint8_t key[16])
+{
+#if defined(HAAC_USE_AESNI)
+    if (aesni::hasAes()) {
+        auto *out = reinterpret_cast<__m128i *>(roundKeys_.data());
+        __m128i rk = _mm_loadu_si128(reinterpret_cast<const __m128i *>(key));
+        _mm_storeu_si128(out, rk);
+        for (int round = 1; round <= kAesRounds; ++round) {
+            rk = aesni::nextRoundKey(rk, round);
+            _mm_storeu_si128(out + round, rk);
+        }
+        return;
+    }
+#endif
+    roundKeys_ = aes128KeySchedulePortable(key);
 }
 
 Aes128::Aes128(const Label &key)
@@ -135,11 +148,7 @@ void
 Aes128::encryptBlock(const uint8_t in[16], uint8_t out[16]) const
 {
 #if defined(HAAC_USE_AESNI)
-    // Compiled with -maes, but the binary may land on an x86 CPU
-    // without the extension — dispatch on CPUID once per process.
-    static const bool have_aesni = __builtin_cpu_supports("aes") &&
-                                   __builtin_cpu_supports("sse2");
-    if (have_aesni) {
+    if (aesni::hasAes()) {
         // The 176-byte schedule is stored in FIPS-197 byte order, which
         // is exactly what AESENC expects from an unaligned load.
         __m128i state =
@@ -180,6 +189,34 @@ Aes128::encryptBlock(const Label &in) const
     in.toBytes(buf);
     encryptBlock(buf, buf);
     return Label::fromBytes(buf);
+}
+
+void
+Aes128::encryptBlocks(const Label *in, Label *out, size_t n) const
+{
+#if defined(HAAC_USE_AESNI)
+    if (aesni::hasAes()) {
+        const auto *rk = reinterpret_cast<const __m128i *>(roundKeys_.data());
+        for (size_t base = 0; base < n; base += 4) {
+            const size_t m = std::min<size_t>(4, n - base);
+            __m128i s[4];
+            for (size_t i = 0; i < m; ++i)
+                s[i] = _mm_xor_si128(aesni::load(in[base + i]),
+                                     _mm_loadu_si128(rk));
+            for (int round = 1; round < kAesRounds; ++round) {
+                const __m128i k = _mm_loadu_si128(rk + round);
+                for (size_t i = 0; i < m; ++i)
+                    s[i] = _mm_aesenc_si128(s[i], k);
+            }
+            const __m128i k = _mm_loadu_si128(rk + kAesRounds);
+            for (size_t i = 0; i < m; ++i)
+                out[base + i] = aesni::store(_mm_aesenclast_si128(s[i], k));
+        }
+        return;
+    }
+#endif
+    for (size_t i = 0; i < n; ++i)
+        out[i] = encryptBlock(in[i]);
 }
 
 } // namespace haac

@@ -1,6 +1,6 @@
 /**
  * @file
- * Portable software AES-128 (FIPS-197).
+ * AES-128 (FIPS-197), encryption only (GC never decrypts AES).
  *
  * HAAC's Half-Gate units hash labels with AES using *re-keying*: every
  * hash uses a fresh key derived from the gate index, so the 176-byte key
@@ -9,12 +9,18 @@
  * and fixed-key constructions (and the 27.5% cost ablation between them)
  * can be expressed.
  *
- * This is an encryption-only implementation (GC never decrypts AES).
+ * On an x86 CPU with AES-NI and SSSE3 both the key schedule
+ * (aesenclast + pshufb) and block encryption run on the AES unit,
+ * selected once per process from CPUID. The byte-oriented FIPS-197
+ * code is the fallback for other CPUs and non-x86 builds;
+ * aes128KeySchedulePortable() keeps its schedule callable so tests can
+ * diff the two.
  */
 #ifndef HAAC_CRYPTO_AES128_H
 #define HAAC_CRYPTO_AES128_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/label.h"
@@ -25,11 +31,20 @@ namespace haac {
 inline constexpr int kAesRounds = 10;
 inline constexpr size_t kAesExpandedKeyBytes = 16 * (kAesRounds + 1);
 
+/** The key schedule's round constants, round 1 first (FIPS-197). */
+inline constexpr uint8_t kAesRcon[kAesRounds] = {
+    0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
+};
+
+/** The FIPS-197 key expansion in portable byte-oriented code. */
+std::array<uint8_t, kAesExpandedKeyBytes>
+aes128KeySchedulePortable(const uint8_t key[16]);
+
 /**
  * An expanded AES-128 key schedule.
  *
- * Construction runs the FIPS-197 key expansion; this is the unit of
- * work the paper's "key expand" boxes represent.
+ * Construction runs the key expansion; this is the unit of work the
+ * paper's "key expand" boxes represent.
  */
 class Aes128
 {
@@ -46,6 +61,12 @@ class Aes128
     /** Encrypt a Label-typed block. */
     Label encryptBlock(const Label &in) const;
 
+    /**
+     * Encrypt @p n independent blocks, up to four at a time through
+     * the AES pipeline; @p out may alias @p in.
+     */
+    void encryptBlocks(const Label *in, Label *out, size_t n) const;
+
     /** Raw access to the 176-byte schedule (for tests). */
     const std::array<uint8_t, kAesExpandedKeyBytes> &
     roundKeys() const
@@ -54,7 +75,7 @@ class Aes128
     }
 
   private:
-    std::array<uint8_t, kAesExpandedKeyBytes> roundKeys_{};
+    std::array<uint8_t, kAesExpandedKeyBytes> roundKeys_;
 };
 
 } // namespace haac

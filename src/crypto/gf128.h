@@ -5,10 +5,12 @@
  * The field is GF(2)[x] / (x^128 + x^7 + x^2 + x + 1) — the standard
  * carryless-multiplication modulus — with a Label's bit i (bit i of
  * lo for i < 64, of hi above) as the coefficient of x^i. The OT
- * extension uses products chi_j * t_j purely as a universal hash over
- * the receiver's correlation rows (gc/ot_ext.cc), so the bit-serial
- * shift-and-add here is plenty: one multiply per extended OT row,
- * amortized against 32 bytes of wire traffic each.
+ * extension uses products chi_j * t_j as a universal hash over the
+ * receiver's correlation rows (gc/ot_ext.cc): one multiply per
+ * extended OT row, on secret rows. On x86 CPUs with PCLMULQDQ the
+ * product is four carryless multiplies and two folds by 0x87; the
+ * fallback is a branch-free shift-and-add whose time does not depend
+ * on either operand.
  */
 #ifndef HAAC_CRYPTO_GF128_H
 #define HAAC_CRYPTO_GF128_H
@@ -19,6 +21,9 @@ namespace haac {
 
 /** a * b in GF(2^128), modulus x^128 + x^7 + x^2 + x + 1. */
 Label gf128Mul(const Label &a, const Label &b);
+
+/** The same product in portable constant-time code (the reference). */
+Label gf128MulPortable(const Label &a, const Label &b);
 
 } // namespace haac
 

@@ -8,6 +8,9 @@
  * Matyas-Meyer-Oseas compression, H(x, j) = AES_{k(j)}(x) ^ x. An AND
  * gate therefore costs the Garbler two key expansions and four AES
  * block encryptions, exactly the datapath in Fig. 2 of the paper.
+ * hashRekeyedFused() is that datapath in software: on AES-NI hosts
+ * both tweak keys are expanded round by round alongside the block
+ * encryptions, so no schedule is ever stored.
  *
  * The cheaper but less secure *fixed-key* construction (one global key,
  * tweak folded into the input) is provided only to reproduce the
@@ -29,13 +32,25 @@ Label tweakKey(uint64_t tweak);
 /**
  * Re-keyed Half-Gate hash: expand k(j), then MMO-compress x.
  *
- * This is the per-call form; when a gate hashes two labels under the
- * same tweak, use RekeyedHasher to share the expansion within the gate
- * (the hardware expands once per tweak, Fig. 2).
+ * This is the per-block reference form; the protocols hash through
+ * hashRekeyedFused(), which tests diff against it.
  */
 Label hashRekeyed(const Label &x, uint64_t tweak);
 
-/** One expanded tweak key, reusable for the hashes sharing that tweak. */
+/**
+ * The fused re-keyed hash (Fig. 2's GE datapath): out[i] = H(x[i], t)
+ * for i < n0 and H(x[i], t + 1) for n0 <= i < n0 + n1, with n0 in
+ * {1, 2} and n1 in {0, 1, 2}. A garbled AND hashes 2 + 2 blocks, an
+ * evaluated one 1 + 1, an OT-extension mask 2 + 0 or 1 + 0; any other
+ * shape throws std::invalid_argument. @p out may alias @p x.
+ */
+void hashRekeyedFused(uint64_t tweak, const Label *x, int n0, int n1,
+                      Label *out);
+
+/**
+ * One stored tweak-key schedule, for a long chain of hashes under one
+ * tweak (a Merkle-Damgard fold).
+ */
 class RekeyedHasher
 {
   public:
@@ -61,6 +76,14 @@ class FixedKeyHasher
     FixedKeyHasher();
 
     Label operator()(const Label &x, uint64_t tweak) const;
+
+    /**
+     * The same block shapes as hashRekeyedFused(), through the AES
+     * pipeline together, so the re-keyed/fixed-key ablation compares
+     * like with like.
+     */
+    void operator()(uint64_t tweak, const Label *x, int n0, int n1,
+                    Label *out) const;
 
   private:
     Aes128 aes_;

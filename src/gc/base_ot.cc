@@ -18,10 +18,10 @@ hashPoint(const ec::Point &p, uint64_t index)
 {
     uint8_t bytes[ec::kPointBytes];
     p.toBytes(bytes);
-    const Label lo = Label::fromBytes(bytes);
-    const Label hi = Label::fromBytes(bytes + kLabelBytes);
-    return hashRekeyed(lo, kBaseOtTweak + 2 * index) ^
-           hashRekeyed(hi, kBaseOtTweak + 2 * index + 1);
+    Label halves[2] = {Label::fromBytes(bytes),
+                       Label::fromBytes(bytes + kLabelBytes)};
+    hashRekeyedFused(kBaseOtTweak + 2 * index, halves, 1, 1, halves);
+    return halves[0] ^ halves[1];
 }
 
 ec::Point

@@ -5,8 +5,8 @@
  * FreeXOR (Kolesnikov-Schneider) + Half-Gates (Zahur-Rosulek-Evans)
  * with the re-keyed hash HAAC adopts for security. Per AND gate i the
  * Garbler performs two key expansions (tweaks 2i and 2i+1) and four
- * AES hashes, the Evaluator two and two; XOR gates cost one 128-bit
- * XOR. The formula is written once here, templated on the hash, and
+ * AES hashes, the Evaluator two and two, each party in one fused
+ * hashRekeyedFused() call; XOR gates cost one 128-bit XOR. The formula is written once here, templated on the hash, and
  * the gate kernel below is the only loop over netlist gates in src/gc:
  * every garbling and evaluation (StreamingGarbler, captureGarbling,
  * evaluateStreaming, the protocols, the chain linker) runs through
@@ -17,6 +17,7 @@
 #ifndef HAAC_GC_GARBLE_H
 #define HAAC_GC_GARBLE_H
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -36,25 +37,22 @@ struct HalfGateGarbled
 };
 
 /**
- * Hash policy: at(i) yields AND gate i's two tweak hashes,
- * first(x) = H(x, 2i) and second(x) = H(x, 2i+1). The re-keyed
- * policy expands each tweak key once and reuses it for the pair of
- * hashes that share it (the Fig. 2 datapath: 2 expansions, 4 AES).
+ * Hash policy: hash(i, x) returns all of AND gate i's hashes in one
+ * call, the first half of @p x under tweak 2i and the second half
+ * under 2i+1 — four blocks when garbling, two when evaluating. The
+ * re-keyed policy is one fused pass through both tweak keys (the
+ * Fig. 2 datapath: 2 expansions, 4 AES).
  */
 struct RekeyedGateHash
 {
-    struct Gate
+    template <size_t N>
+    std::array<Label, N>
+    operator()(uint64_t gate_index, const std::array<Label, N> &x) const
     {
-        RekeyedHasher h0, h1;
-        Label first(const Label &x) const { return h0(x); }
-        Label second(const Label &x) const { return h1(x); }
-    };
-
-    Gate
-    at(uint64_t gate_index) const
-    {
-        return {RekeyedHasher(2 * gate_index),
-                RekeyedHasher(2 * gate_index + 1)};
+        std::array<Label, N> out;
+        hashRekeyedFused(2 * gate_index, x.data(), int(N / 2), int(N / 2),
+                         out.data());
+        return out;
     }
 };
 
@@ -63,15 +61,14 @@ struct FixedKeyGateHash
 {
     const FixedKeyHasher &h;
 
-    struct Gate
+    template <size_t N>
+    std::array<Label, N>
+    operator()(uint64_t gate_index, const std::array<Label, N> &x) const
     {
-        const FixedKeyHasher &h;
-        uint64_t j0;
-        Label first(const Label &x) const { return h(x, j0); }
-        Label second(const Label &x) const { return h(x, j0 + 1); }
-    };
-
-    Gate at(uint64_t gate_index) const { return {h, 2 * gate_index}; }
+        std::array<Label, N> out;
+        h(2 * gate_index, x.data(), int(N / 2), int(N / 2), out.data());
+        return out;
+    }
 };
 
 /**
@@ -86,13 +83,10 @@ HalfGateGarbled
 garbleAnd(const Label &a0, const Label &b0, const Label &r,
           uint64_t gate_index, const Hash &hash = {})
 {
-    const auto h = hash.at(gate_index);
     const bool pa = a0.lsb();
     const bool pb = b0.lsb();
-    const Label ha0 = h.first(a0);
-    const Label ha1 = h.first(a0 ^ r);
-    const Label hb0 = h.second(b0);
-    const Label hb1 = h.second(b0 ^ r);
+    const auto [ha0, ha1, hb0, hb1] =
+        hash(gate_index, std::array<Label, 4>{a0, a0 ^ r, b0, b0 ^ r});
 
     HalfGateGarbled out;
     // Generator half.
@@ -123,11 +117,9 @@ Label
 evaluateAnd(const Label &a, const Label &b, const GarbledTable &table,
             uint64_t gate_index, const Hash &hash = {})
 {
-    const auto h = hash.at(gate_index);
-    Label wg = h.first(a);
+    auto [wg, we] = hash(gate_index, std::array<Label, 2>{a, b});
     if (a.lsb())
         wg ^= table.tg;
-    Label we = h.second(b);
     if (b.lsb())
         we ^= table.te ^ a;
     return wg ^ we;

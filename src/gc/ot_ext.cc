@@ -156,9 +156,10 @@ OtExtSender::send(const std::vector<Label> &m0,
     // q_j = t_j ^ r_j*s, so H(j, q_j) masks m0 toward choice 0 and
     // H(j, q_j ^ s) masks m1 toward choice 1.
     for (size_t j = 0; j < m; ++j) {
-        const RekeyedHasher h(kOtExtTweak + tweakBase_ + j);
-        out_->sendLabel(m0[j] ^ h(rows[j]));
-        out_->sendLabel(m1[j] ^ h(rows[j] ^ s_));
+        Label h[2] = {rows[j], rows[j] ^ s_};
+        hashRekeyedFused(kOtExtTweak + tweakBase_ + j, h, 2, 0, h);
+        out_->sendLabel(m0[j] ^ h[0]);
+        out_->sendLabel(m1[j] ^ h[1]);
     }
     tweakBase_ += ext_blocks * kOtExtColumns;
     out_->flush();
@@ -278,8 +279,9 @@ OtExtReceiver::receiveLabels()
     for (size_t j = 0; j < m; ++j) {
         const Label y0 = in_->recvLabel();
         const Label y1 = in_->recvLabel();
-        const RekeyedHasher h(kOtExtTweak + tweakBase_ + j);
-        labels[j] = (choices_[j] ? y1 : y0) ^ h(rows_[j]);
+        Label h;
+        hashRekeyedFused(kOtExtTweak + tweakBase_ + j, &rows_[j], 1, 0, &h);
+        labels[j] = (choices_[j] ? y1 : y0) ^ h;
     }
     tweakBase_ += (blocksFor(m) + 1) * kOtExtColumns;
     batchPending_ = false;

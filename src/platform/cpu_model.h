@@ -4,7 +4,8 @@
  *
  * Two baselines are provided (see DESIGN.md substitutions):
  *  - a *measured* baseline: this host running our software GC engine
- *    (portable AES, re-keyed half-gates), calibrated once per process;
+ *    (re-keyed half-gates, on AES-NI when the CPU has it), calibrated
+ *    once per process;
  *  - a *paper-calibrated* baseline: a fixed gates/second constant
  *    back-derived from the paper's published CPU results (EMP with
  *    AES-NI, fixed-key), so speedup magnitudes can be compared against

@@ -10,7 +10,9 @@
  * threads call makers without the lock, so a refill never copies
  * what the maker owns. A pop on an empty queue is a miss: the caller
  * makes its item inline, exactly the pre-pool behavior, so the pool
- * is a pure amortization layer with no correctness surface.
+ * is a pure amortization layer with no correctness surface. A maker
+ * that throws costs one dropped item: the filler counts it, and the
+ * key rests until the next pop or prewarm asks for it again.
  *
  * Security invariant: every item is made from fresh randomness and
  * leaves the pool exactly once (tryPop() transfers ownership).
@@ -67,6 +69,7 @@ struct PoolOptions
 struct PoolStats
 {
     uint64_t produced = 0; ///< items made by filler threads
+    uint64_t failed = 0;   ///< makes that threw (item dropped)
     uint64_t hits = 0;     ///< tryPop() served a ready item
     uint64_t misses = 0;   ///< tryPop() found nothing (make inline)
     uint64_t ready = 0;    ///< items currently queued
@@ -145,36 +148,46 @@ class ReadyPool
         {
             std::lock_guard<std::mutex> lock(mutex_);
             auto it = queues_.find(key);
-            if (it == queues_.end() || it->second.ready.empty()) {
+            if (it == queues_.end()) {
                 ++misses_;
                 return nullptr;
             }
-            item = std::move(it->second.ready.front());
-            it->second.ready.pop_front();
-            ++hits_;
+            Queue &q = it->second;
+            q.failed = false; // demand retries a maker that threw
+            if (q.ready.empty()) {
+                ++misses_;
+            } else {
+                item = std::move(q.ready.front());
+                q.ready.pop_front();
+                ++hits_;
+            }
         }
         work_.notify_all(); // the queue just got needy
         return item;
     }
 
     /**
-     * Block until every tracked key's queue is full. A prewarm fills
-     * to depth whatever the hysteresis state: a queue resting between
-     * the low-water mark and depth would otherwise never refill.
+     * Block until every tracked key's queue is full, or its maker
+     * threw. A prewarm fills to depth whatever the hysteresis state:
+     * a queue resting between the low-water mark and depth would
+     * otherwise never refill.
      */
     void
     prewarm()
     {
         std::unique_lock<std::mutex> lock(mutex_);
-        for (auto &kv : queues_)
+        for (auto &kv : queues_) {
+            kv.second.failed = false;
             if (kv.second.ready.size() < opts_.depth)
                 kv.second.filling = true;
+        }
         work_.notify_all();
         full_.wait(lock, [this] {
             if (stop_)
                 return true;
             for (const auto &kv : queues_)
-                if (kv.second.ready.size() < opts_.depth)
+                if (kv.second.ready.size() < opts_.depth &&
+                    !kv.second.failed)
                     return false;
             return true;
         });
@@ -186,6 +199,7 @@ class ReadyPool
         std::lock_guard<std::mutex> lock(mutex_);
         PoolStats s;
         s.produced = produced_;
+        s.failed = failed_;
         s.hits = hits_;
         s.misses = misses_;
         s.tracked = queues_.size();
@@ -201,6 +215,7 @@ class ReadyPool
         std::deque<std::unique_ptr<Item>> ready;
         size_t inflight = 0; ///< fillers making for this key now
         bool filling = true; ///< between low-water trigger and full
+        bool failed = false; ///< a make threw; rest until next demand
     };
 
     /**
@@ -211,6 +226,8 @@ class ReadyPool
     bool
     needy(Queue &q) const
     {
+        if (q.failed)
+            return false;
         const size_t level = q.ready.size() + q.inflight;
         if (level >= opts_.depth) {
             q.filling = false;
@@ -252,11 +269,22 @@ class ReadyPool
             // Map nodes are stable and keys are never untracked, so
             // `target` and its immutable maker outlive the unlock.
             lock.unlock();
-            auto item = std::make_unique<Item>(target->maker(seed));
+            std::unique_ptr<Item> item;
+            try {
+                item = std::make_unique<Item>(target->maker(seed));
+            } catch (...) {
+                // A pop made inline surfaces the maker's error to a
+                // caller; here there is none, so drop the item.
+            }
             lock.lock();
             --target->inflight;
-            ++produced_;
-            target->ready.push_back(std::move(item));
+            if (item) {
+                ++produced_;
+                target->ready.push_back(std::move(item));
+            } else {
+                ++failed_;
+                target->failed = true;
+            }
             full_.notify_all();
         }
     }
@@ -264,9 +292,10 @@ class ReadyPool
     PoolOptions opts_;
     mutable std::mutex mutex_;
     std::condition_variable work_; ///< queues got needy / stopping
-    std::condition_variable full_; ///< an item landed (prewarm)
+    std::condition_variable full_; ///< an item landed or failed (prewarm)
     std::map<std::string, Queue> queues_;
     uint64_t produced_ = 0;
+    uint64_t failed_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t nextSeedOffset_ = 0;

@@ -1,19 +1,24 @@
 /**
  * @file
  * Unit tests for the crypto substrate: AES-128 against FIPS-197
- * vectors, label algebra, PRG determinism, the Half-Gate hashes, and
- * the base-OT group arithmetic (Curve25519) plus the OT-extension
- * bit transpose.
+ * vectors, label algebra, PRG determinism, the Half-Gate hashes,
+ * GF(2^128) arithmetic, and the base-OT group arithmetic (Curve25519)
+ * plus the OT-extension bit transpose. Each hardware fast path (AES
+ * key schedule, fused gate hash, carryless multiply) is diffed against
+ * its portable reference; on a host without the extensions the two
+ * sides are the same code and the diffs pass trivially.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "crypto/aes128.h"
 #include "crypto/bitmatrix.h"
 #include "crypto/curve25519.h"
+#include "crypto/gf128.h"
 #include "crypto/hash.h"
 #include "crypto/label.h"
 #include "crypto/prg.h"
@@ -84,6 +89,17 @@ TEST(Aes128, LabelConstructorMatchesByteConstructor)
     Aes128 a(key), b(bytes);
     Label x(42, 43);
     EXPECT_EQ(a.encryptBlock(x), b.encryptBlock(x));
+}
+
+TEST(Aes128, KeyScheduleMatchesPortableReference)
+{
+    Prg prg(0x6b73);
+    for (int i = 0; i < 20000; ++i) {
+        uint8_t key[16];
+        prg.nextLabel().toBytes(key);
+        ASSERT_EQ(Aes128(key).roundKeys(), aes128KeySchedulePortable(key))
+            << "key " << i;
+    }
 }
 
 TEST(Label, XorAlgebra)
@@ -184,6 +200,93 @@ TEST(HalfGateHash, FixedKeyDiffersFromRekeyed)
     EXPECT_NE(fixed(x, 3), hashRekeyed(x, 3));
     EXPECT_EQ(fixed(x, 3), fixed(x, 3));
     EXPECT_NE(fixed(x, 3), fixed(x, 4));
+}
+
+TEST(HalfGateHash, FusedMatchesPerBlockForEveryShape)
+{
+    // 2 + 2 garbles an AND, 1 + 1 evaluates one, 2 + 0 and 1 + 0 mask
+    // OT-extension labels; the rest of the shapes come for free. The
+    // fixed-key ablation serves the same shapes.
+    const FixedKeyHasher fixed;
+    Prg prg(0x4655);
+    for (int trial = 0; trial < 2000; ++trial) {
+        const uint64_t tweak = prg.nextU64() >> (trial % 64);
+        Label x[4], out[4], fixed_out[4];
+        for (Label &l : x)
+            l = prg.nextLabel();
+        for (int n0 = 1; n0 <= 2; ++n0) {
+            for (int n1 = 0; n1 <= 2; ++n1) {
+                hashRekeyedFused(tweak, x, n0, n1, out);
+                fixed(tweak, x, n0, n1, fixed_out);
+                for (int i = 0; i < n0 + n1; ++i) {
+                    const uint64_t t = tweak + (i < n0 ? 0 : 1);
+                    ASSERT_EQ(out[i], hashRekeyed(x[i], t))
+                        << "shape " << n0 << "+" << n1 << " block " << i;
+                    ASSERT_EQ(fixed_out[i], fixed(x[i], t))
+                        << "shape " << n0 << "+" << n1 << " block " << i;
+                }
+            }
+        }
+    }
+}
+
+TEST(HalfGateHash, FusedHashesInPlace)
+{
+    Label x[4] = {Label(1, 2), Label(3, 4), Label(5, 6), Label(7, 8)};
+    Label want[4];
+    hashRekeyedFused(40, x, 2, 2, want);
+    hashRekeyedFused(40, x, 2, 2, x);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(x[i], want[i]);
+}
+
+TEST(HalfGateHash, FusedRejectsUnsupportedShapes)
+{
+    Label x[4], out[4];
+    EXPECT_THROW(hashRekeyedFused(0, x, 0, 2, out), std::invalid_argument);
+    EXPECT_THROW(hashRekeyedFused(0, x, 3, 0, out), std::invalid_argument);
+    EXPECT_THROW(hashRekeyedFused(0, x, 1, 3, out), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// GF(2^128) (the KOS15 check)
+// ---------------------------------------------------------------------------
+
+TEST(Gf128, KnownAnswers)
+{
+    const Label x(2, 0);
+    const Label x127(0, uint64_t(1) << 63);
+    const Label reduced(0x87, 0); // x^128 = x^7 + x^2 + x + 1
+    const Label one(1, 0);
+    const Label a(0x0123456789abcdefull, 0xfedcba9876543210ull);
+    for (auto mul : {gf128Mul, gf128MulPortable}) {
+        EXPECT_EQ(mul(x, x127), reduced);
+        EXPECT_EQ(mul(x127, x), reduced);
+        EXPECT_EQ(mul(one, a), a);
+        EXPECT_EQ(mul(a, one), a);
+        EXPECT_TRUE(mul(a, Label()).isZero());
+    }
+}
+
+TEST(Gf128, CommutativeAndDistributive)
+{
+    Prg prg(0x6766);
+    for (int i = 0; i < 2000; ++i) {
+        const Label a = prg.nextLabel(), b = prg.nextLabel(),
+                    c = prg.nextLabel();
+        ASSERT_EQ(gf128Mul(a, b), gf128Mul(b, a));
+        ASSERT_EQ(gf128Mul(a, b ^ c), gf128Mul(a, b) ^ gf128Mul(a, c));
+        ASSERT_EQ(gf128Mul(gf128Mul(a, b), c), gf128Mul(a, gf128Mul(b, c)));
+    }
+}
+
+TEST(Gf128, MatchesPortableReference)
+{
+    Prg prg(0x636c);
+    for (int i = 0; i < 100000; ++i) {
+        const Label a = prg.nextLabel(), b = prg.nextLabel();
+        ASSERT_EQ(gf128Mul(a, b), gf128MulPortable(a, b)) << "pair " << i;
+    }
 }
 
 // ---------------------------------------------------------------------------

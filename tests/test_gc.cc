@@ -3,22 +3,27 @@
  * Garbled-circuits protocol tests: Half-Gate correctness for all input
  * combinations, FreeXOR/NOT label algebra, whole-circuit garbling vs
  * plaintext on random circuits (property test), the chunked gate
- * kernel, a golden garbling digest, channel accounting, and the
- * end-to-end protocol.
+ * kernel, golden garbling and OT-extension digests, channel
+ * accounting, and the end-to-end protocol.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "crypto/prg.h"
 #include "gc/garble.h"
 #include "gc/instance.h"
+#include "gc/ot_ext.h"
 #include "gc/protocol.h"
 #include "gc/streaming.h"
+#include "net/loopback.h"
+#include "net/net_channel.h"
 #include "workloads/vip.h"
 
 namespace haac {
@@ -397,6 +402,29 @@ TEST(Streaming, PipelinedGarbleEvaluateIsCorrect)
     EXPECT_EQ(result, (x * y) & 0xffff);
 }
 
+/** FNV-1a over bytes and labels: the digest behind the golden KATs. */
+struct Fnv1a
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    bytes(const uint8_t *p, size_t n)
+    {
+        for (size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    label(const Label &l)
+    {
+        uint8_t buf[kLabelBytes];
+        l.toBytes(buf);
+        bytes(buf, sizeof(buf));
+    }
+};
+
 TEST(GarblingKat, HammDigestIsPinned)
 {
     // Golden garbling: an FNV-1a digest over every AND table, every
@@ -405,30 +433,89 @@ TEST(GarblingKat, HammDigestIsPinned)
     // table values; this can.
     const Workload wl = vipWorkload("Hamm", false);
     const GarbledInstance inst = captureGarbling(wl.netlist, 0x4b4154);
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const uint8_t *p, size_t n) {
-        for (size_t i = 0; i < n; ++i) {
-            h ^= p[i];
-            h *= 0x100000001b3ull;
-        }
-    };
-    uint8_t buf[kLabelBytes];
-    auto mixLabel = [&](const Label &l) {
-        l.toBytes(buf);
-        mix(buf, sizeof(buf));
-    };
+    Fnv1a fnv;
     ASSERT_EQ(inst.tables.size(), 16369u);
     for (const GarbledTable &t : inst.tables) {
-        mixLabel(t.tg);
-        mixLabel(t.te);
+        fnv.label(t.tg);
+        fnv.label(t.te);
     }
     for (const Label &l : inst.inputZero)
-        mixLabel(l);
+        fnv.label(l);
     for (size_t i = 0; i < inst.outputZero.size(); ++i) {
         const uint8_t d = inst.decodeBit(i) ? 1 : 0;
-        mix(&d, 1);
+        fnv.bytes(&d, 1);
     }
-    EXPECT_EQ(h, 0x364928f9c215180eull);
+    EXPECT_EQ(fnv.h, 0x364928f9c215180eull);
+}
+
+/** Passes reads through to another channel and keeps a copy. */
+class TapChannel : public ByteChannel
+{
+  public:
+    explicit TapChannel(ByteChannel &inner) : inner_(inner) {}
+
+    std::vector<uint8_t> tapped;
+
+  protected:
+    void
+    writeBytes(const uint8_t *data, size_t n) override
+    {
+        inner_.sendBytes(data, n);
+    }
+
+    void
+    readBytes(uint8_t *data, size_t n) override
+    {
+        inner_.recvBytes(data, n);
+        tapped.insert(tapped.end(), data, data + n);
+    }
+
+  private:
+    ByteChannel &inner_;
+};
+
+TEST(OtExtKat, LoopbackBatchDigestIsPinned)
+{
+    // Golden OT extension: an FNV-1a digest over the sender's masked
+    // pairs (as the receiver reads them off the wire) and the
+    // receiver's labels, for one seeded 8,192-choice batch. It pins
+    // the label-masking hash and the KOS15 check's GF(2^128)
+    // arithmetic, which only end-to-end output checks see otherwise.
+    constexpr size_t kCount = 8192;
+    Prg prg(0x4f544b4154); // "OTKAT"
+    std::vector<Label> m0(kCount), m1(kCount);
+    std::vector<bool> choices(kCount);
+    for (size_t i = 0; i < kCount; ++i) {
+        m0[i] = prg.nextLabel();
+        m1[i] = prg.nextLabel();
+        choices[i] = prg.nextBit();
+    }
+
+    auto [send_end, recv_end] = LoopbackTransport::createPair();
+    std::thread sender_thread([&, t = std::move(send_end)] {
+        NetChannel chan(*t);
+        OtExtSender sender(chan, chan, uint64_t(0x53454e44)); // "SEND"
+        sender.setup();
+        sender.send(m0, m1);
+    });
+    NetChannel chan(*recv_end);
+    TapChannel in(chan);
+    OtExtReceiver receiver(chan, in, uint64_t(0x52454356)); // "RECV"
+    receiver.start();
+    receiver.setup();
+    receiver.sendChoices(choices);
+    in.tapped.clear();
+    const std::vector<Label> labels = receiver.receiveLabels();
+    sender_thread.join();
+
+    ASSERT_EQ(in.tapped.size(), 2 * kCount * kLabelBytes);
+    Fnv1a fnv;
+    fnv.bytes(in.tapped.data(), in.tapped.size());
+    for (size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(labels[i], choices[i] ? m1[i] : m0[i]) << "i=" << i;
+        fnv.label(labels[i]);
+    }
+    EXPECT_EQ(fnv.h, 0xefa6e838b20dc854ull);
 }
 
 TEST(SoftwareGc, TimingProducesThroughput)

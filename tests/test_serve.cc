@@ -14,6 +14,7 @@
 #include <exception>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -596,6 +597,46 @@ TYPED_TEST(ReadyPoolTest, DestroyedWhileAFillerIsMidGarble)
     EXPECT_EQ(finished.load(), 1);
 }
 
+TYPED_TEST(ReadyPoolTest, ThrowingMakerIsCountedAndRetriedOnDemand)
+{
+    // A maker that throws must neither escape the filler thread
+    // (std::terminate) nor leak its inflight slot: the filler counts
+    // the failure and drops the item, and the key rests until the
+    // next demand retries it.
+    using Items = TypeParam;
+    std::atomic<int> calls{0};
+    PoolOptions popts;
+    popts.depth = 2;
+    popts.seedBase = 500;
+    typename Items::Pool pool(popts);
+    ReadyPool<typename Items::Item> &base = pool;
+    base.track(Items::key(0), [&](uint64_t seed) {
+        if (calls++ == 0)
+            throw std::runtime_error("maker failed");
+        return Items::make(0, seed);
+    });
+    for (int i = 0; i < 5000 && pool.stats().failed == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(pool.stats().failed, 1u);
+
+    // Resting: no busy retry loop on a failing maker.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(calls.load(), 1);
+    PoolStats s = pool.stats();
+    EXPECT_EQ(s.produced, 0u);
+    EXPECT_EQ(s.ready, 0u);
+
+    // A pop is demand: it misses, then the key refills to full depth,
+    // which it could not if the failed make still held a slot.
+    EXPECT_EQ(Items::pop(pool, 0), nullptr);
+    pool.prewarm();
+    s = pool.stats();
+    EXPECT_EQ(s.failed, 1u);
+    EXPECT_EQ(s.produced, popts.depth);
+    EXPECT_EQ(s.ready, popts.depth);
+    EXPECT_NE(Items::pop(pool, 0), nullptr);
+}
+
 TEST(GcServer, PooledMultiSessionConnectionWithOtReuse)
 {
     // One connection, three sessions: the server garbles from the
@@ -657,18 +698,34 @@ TEST(GcServer, PoolMissFallsBackToInlineGarbling)
 {
     // An empty pool (nothing prewarmed, depth small) must never block
     // a session: the server garbles inline and still answers.
+    const Workload wl = resolveWorkload("Hamm");
     PoolOptions popts;
     popts.depth = 1;
-    GarblePool pool(popts); // "Hamm" is only tracked on demand, and
-                            // garbling it takes far longer than the
-                            // track()-to-tryPop() gap in serveSession
+    GarblePool pool(popts); // "Hamm" is only tracked on demand
+
+    // Hold the pool's one filler on another key until the session is
+    // over, so "Hamm" finds nothing ready however fast it garbles.
+    std::atomic<bool> holding{false}, release{false};
+    struct Release
+    {
+        std::atomic<bool> &flag;
+        ~Release() { flag = true; }
+    } release_on_exit{release};
+    ReadyPool<GarbledInstance> &base = pool;
+    base.track("hold", [&](uint64_t seed) {
+        holding = true;
+        while (!release)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return captureGarbling(wl.netlist, seed);
+    });
+    while (!holding)
+        std::this_thread::yield();
 
     ServerOptions opts;
     opts.threads = 1;
     opts.pool = &pool;
     GcServer server(opts);
 
-    const Workload wl = resolveWorkload("Hamm");
     auto [client_end, server_end] = LoopbackTransport::createPair();
     server.submit(std::move(server_end));
 
