@@ -148,10 +148,10 @@ Session::compile() const
     const bool check = opts.verify;
 #endif
     if (check) {
-        CircuitLintOptions lint;
+        AnalyzeOptions lint;
         lint.warnings = false;
         lint.deep = false;
-        const CircuitLintReport rep = analyzeNetlist(netlist_, lint);
+        const LintReport rep = analyzeNetlist(netlist_, lint);
         // No assert here, unlike the mirrored check in passes.cc: that
         // one guards compiler output, this one guards user-supplied
         // netlists (e.g. readBristolFile), which must refuse by

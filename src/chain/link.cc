@@ -180,7 +180,7 @@ ChainPlan::check() const
     // The structural half of the circuit analyzer, first violation
     // only. deep must stay false: the deep pass flattens through
     // monolithic(), which re-validates through this very function.
-    CircuitLintOptions opts;
+    AnalyzeOptions opts;
     opts.warnings = false;
     opts.deep = false;
     return analyzeChainPlan(*this, opts).firstError();
@@ -414,10 +414,8 @@ runChainGarbler(const ChainPlan &plan,
 
     NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
 
-    const bool reuse_ot = opts.otCache != nullptr &&
-                          opts.otCache->sender != nullptr &&
-                          opts.otCache->sender->ready() &&
-                          plan.numEvaluatorPorts() > 0;
+    const bool reuse_ot =
+        otSenderCached(opts.otCache) && plan.numEvaluatorPorts() > 0;
     res.otSetupReused = reuse_ot;
 
     ChainFingerprint fp = ChainFingerprint::of(plan);
@@ -437,17 +435,6 @@ runChainGarbler(const ChainPlan &plan,
         const size_t uplink_base = chan.bytesReceived();
         const uint32_t m = plan.numEvaluatorPorts();
         if (m > 0) {
-            std::unique_ptr<OtExtSender> fresh;
-            OtExtSender *ot = nullptr;
-            if (reuse_ot) {
-                opts.otCache->sender->rebind(chan, chan);
-                ot = opts.otCache->sender.get();
-            } else {
-                fresh = std::make_unique<OtExtSender>(chan, chan,
-                                                      otRandomKey());
-                fresh->setup();
-                ot = fresh.get();
-            }
             std::vector<Label> m0, m1;
             m0.reserve(m);
             m1.reserve(m);
@@ -460,9 +447,7 @@ runChainGarbler(const ChainPlan &plan,
                     m1.push_back(
                         comps[n]->inst.activeLabel(WireId(i), true));
                 }
-            ot->send(m0, m1);
-            if (opts.otCache != nullptr && fresh != nullptr)
-                opts.otCache->sender = std::move(fresh);
+            sendOtBatch(chan, opts.otCache, reuse_ot, m0, m1);
         }
         res.otBytes = chan.bytesSent() - base;
         res.otUplinkBytes = chan.bytesReceived() - uplink_base;
@@ -626,40 +611,20 @@ runChainEvaluator(const ChainPlan &plan,
         const size_t base = chan.bytesReceived();
         const uint32_t m = plan.numEvaluatorPorts();
         if (m > 0) {
-            OtConnectionCache *cache = opts.otCache;
-            std::unique_ptr<OtExtReceiver> fresh;
-            OtExtReceiver *ot = nullptr;
-            if (remote_fp.otCached != 0) {
-                if (cache == nullptr || cache->receiver == nullptr ||
-                    !cache->receiver->ready())
-                    throw NetError(
-                        "garbler expects a cached OT setup, but this "
-                        "connection has none");
-                cache->receiver->rebind(chan, chan);
-                ot = cache->receiver.get();
-            } else {
-                fresh = std::make_unique<OtExtReceiver>(chan, chan,
-                                                        otRandomKey());
-                fresh->start();
-                fresh->setup();
-                ot = fresh.get();
-            }
             std::vector<bool> choices;
             choices.reserve(m);
             for (size_t n = 0; n < plan.nodes.size(); ++n)
                 for (const InputSource &s : plan.sources[n])
                     if (s.kind == SourceKind::Evaluator)
                         choices.push_back(evaluator_bits[s.index]);
-            ot->sendChoices(choices);
-            const std::vector<Label> labels = ot->receiveLabels();
+            const std::vector<Label> labels = receiveOtBatch(
+                chan, opts.otCache, remote_fp.otCached != 0, choices);
             size_t at = 0;
             for (size_t n = 0; n < plan.nodes.size(); ++n)
                 for (size_t i = 0; i < plan.sources[n].size(); ++i)
                     if (plan.sources[n][i].kind ==
                         SourceKind::Evaluator)
                         inputs[n][i] = labels[at++];
-            if (cache != nullptr && fresh != nullptr)
-                cache->receiver = std::move(fresh);
         }
         res.otBytes = chan.bytesReceived() - base;
         res.otUplinkBytes = chan.bytesSent() - uplink_base;

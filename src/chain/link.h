@@ -220,7 +220,7 @@ buildLinkTables(const ChainPlan &plan,
  * Every hash tweak a chained session will use, in plan-global link
  * order: linkTweakOf(0 .. numLinks()-1). This is the assignment the
  * analyzer audits for reuse/domain violations; tests inject corrupted
- * copies through CircuitLintOptions::linkTweaks.
+ * copies through AnalyzeOptions::linkTweaks.
  */
 std::vector<uint64_t> planLinkTweaks(const ChainPlan &plan);
 

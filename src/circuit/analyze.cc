@@ -8,179 +8,29 @@
 
 namespace haac {
 
-const char *
-circuitLintCodeName(CircuitLintCode code)
-{
-    switch (code) {
-    case CircuitLintCode::UseBeforeDef:
-        return "use-before-def";
-    case CircuitLintCode::WireOutOfRange:
-        return "wire-out-of-range";
-    case CircuitLintCode::MultiplyDriven:
-        return "multiply-driven";
-    case CircuitLintCode::DanglingOutput:
-        return "dangling-output";
-    case CircuitLintCode::InputShape:
-        return "input-shape";
-    case CircuitLintCode::PlanShape:
-        return "plan-shape";
-    case CircuitLintCode::PortWidthMismatch:
-        return "port-width-mismatch";
-    case CircuitLintCode::PlanInputRange:
-        return "plan-input-range";
-    case CircuitLintCode::LinkOrder:
-        return "link-order";
-    case CircuitLintCode::PortRange:
-        return "port-range";
-    case CircuitLintCode::LinkTweakReuse:
-        return "link-tweak-reuse";
-    case CircuitLintCode::LinkTweakDomain:
-        return "link-tweak-domain";
-    case CircuitLintCode::DeadGate:
-        return "dead-gate";
-    case CircuitLintCode::UnusedInput:
-        return "unused-input";
-    case CircuitLintCode::ConstantCone:
-        return "constant-cone";
-    case CircuitLintCode::DuplicateGate:
-        return "duplicate-gate";
-    case CircuitLintCode::InertOutput:
-        return "inert-output";
-    case CircuitLintCode::DeadNode:
-        return "dead-node";
-    case CircuitLintCode::UnusedPlanInput:
-        return "unused-plan-input";
-    }
-    return "unknown";
-}
-
-const char *
-circuitSeverityName(CircuitSeverity sev)
-{
-    switch (sev) {
-    case CircuitSeverity::Error:
-        return "error";
-    case CircuitSeverity::Warning:
-        return "warning";
-    case CircuitSeverity::Note:
-        return "note";
-    }
-    return "unknown";
-}
-
-std::string
-CircuitLintReport::summary() const
-{
-    std::ostringstream os;
-    os << errors << (errors == 1 ? " error, " : " errors, ") << warnings
-       << (warnings == 1 ? " warning" : " warnings");
-    if (notes > 0)
-        os << ", " << notes << (notes == 1 ? " note" : " notes");
-    return os.str();
-}
-
-std::string
-CircuitLintReport::firstError() const
-{
-    for (const CircuitDiag &d : diags)
-        if (d.severity == CircuitSeverity::Error)
-            return d.message;
-    return "";
-}
-
-bool
-CircuitLintReport::has(CircuitLintCode code) const
-{
-    for (const CircuitDiag &d : diags)
-        if (d.code == code)
-            return true;
-    return false;
-}
-
 namespace {
 
-/** Noun for the " (noun #site)" suffix, per code scope. */
-const char *
-siteNoun(CircuitLintCode code)
-{
-    switch (code) {
-    case CircuitLintCode::UseBeforeDef:
-    case CircuitLintCode::WireOutOfRange:
-    case CircuitLintCode::MultiplyDriven:
-    case CircuitLintCode::DeadGate:
-    case CircuitLintCode::ConstantCone:
-    case CircuitLintCode::DuplicateGate:
-        return "gate";
-    case CircuitLintCode::DanglingOutput:
-    case CircuitLintCode::InertOutput:
-        return "output";
-    case CircuitLintCode::PlanShape:
-    case CircuitLintCode::PortWidthMismatch:
-    case CircuitLintCode::PlanInputRange:
-    case CircuitLintCode::LinkOrder:
-    case CircuitLintCode::PortRange:
-    case CircuitLintCode::DeadNode:
-        return "node";
-    case CircuitLintCode::LinkTweakReuse:
-    case CircuitLintCode::LinkTweakDomain:
-        return "link";
-    case CircuitLintCode::UnusedInput:
-    case CircuitLintCode::UnusedPlanInput:
-        return "input";
-    case CircuitLintCode::InputShape:
-        break;
-    }
-    return nullptr;
-}
-
-/** Accumulates diagnostics and the summary counters (verify.cc's
- *  Linter, circuit-flavored). */
+/** The options, the findings so far and the deep pass's cost. */
 struct Accumulator
 {
-    const CircuitLintOptions &opts;
-    CircuitLintReport rep;
+    const AnalyzeOptions &opts;
+    LintReport rep;
+    CircuitCost cost;
 
-    explicit Accumulator(const CircuitLintOptions &o) : opts(o) {}
+    explicit Accumulator(const AnalyzeOptions &o) : opts(o) {}
 
     void
-    emit(CircuitLintCode code, CircuitSeverity sev, uint32_t site,
-         WireId wire, std::string msg)
+    error(LintCode code, uint32_t site, WireId wire, std::string msg)
     {
-        if (sev != CircuitSeverity::Error && !opts.warnings)
-            return;
-        CircuitDiag d;
-        d.code = code;
-        d.severity = sev;
-        d.site = site;
-        d.wire = wire;
-        d.message = std::move(msg);
-        switch (sev) {
-        case CircuitSeverity::Error:
-            ++rep.errors;
-            break;
-        case CircuitSeverity::Warning:
-            ++rep.warnings;
-            break;
-        case CircuitSeverity::Note:
-            ++rep.notes;
-            break;
-        }
-        rep.diags.push_back(std::move(d));
+        rep.add({code, Severity::Error, site, wire, 0, std::move(msg)});
     }
 
     void
-    error(CircuitLintCode code, uint32_t site, WireId wire,
-          std::string msg)
+    warn(LintCode code, uint32_t site, WireId wire, std::string msg)
     {
-        emit(code, CircuitSeverity::Error, site, wire, std::move(msg));
-    }
-
-    void
-    warn(CircuitLintCode code, uint32_t site, WireId wire,
-         std::string msg)
-    {
-        emit(code, CircuitSeverity::Warning, site, wire,
-             std::move(msg));
+        if (opts.warnings)
+            rep.add({code, Severity::Warning, site, wire, 0,
+                     std::move(msg)});
     }
 };
 
@@ -211,7 +61,7 @@ checkNetlistStructure(const Netlist &nl, Accumulator &acc)
                               (nl.constOne == kNoWire ? 0 : 1);
     const uint64_t wires64 = inputs64 + nl.gates.size();
     if (wires64 > uint64_t(kNoWire)) {
-        acc.error(CircuitLintCode::InputShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::InputShape, kNoSite, kNoWire,
                   "declared inputs plus gates overflow the 32-bit "
                   "wire address space");
         return false;
@@ -220,7 +70,7 @@ checkNetlistStructure(const Netlist &nl, Accumulator &acc)
     const uint32_t wires = uint32_t(wires64);
 
     if (nl.constOne != kNoWire && nl.constOne != inputs - 1)
-        acc.error(CircuitLintCode::InputShape, kNoCircuitSite,
+        acc.error(LintCode::InputShape, kNoSite,
                   nl.constOne,
                   "constant-one wire " + std::to_string(nl.constOne) +
                       " is not the last primary input (wire " +
@@ -231,14 +81,14 @@ checkNetlistStructure(const Netlist &nl, Accumulator &acc)
         const WireId out = inputs + g;
         for (const WireId w : {gate.a, gate.b}) {
             if (w >= wires) {
-                acc.error(CircuitLintCode::WireOutOfRange, g, w,
+                acc.error(LintCode::WireOutOfRange, g, w,
                           opName(gate.op) + " operand names wire " +
                               std::to_string(w) +
                               " past the address space (" +
                               std::to_string(wires) + " wires)");
             } else if (w >= out) {
                 acc.error(
-                    CircuitLintCode::UseBeforeDef, g, w,
+                    LintCode::GateUseBeforeDef, g, w,
                     opName(gate.op) + " operand names wire " +
                         std::to_string(w) +
                         " at/after its own output — a use before "
@@ -250,7 +100,7 @@ checkNetlistStructure(const Netlist &nl, Accumulator &acc)
     for (uint32_t i = 0; i < nl.outputs.size(); ++i) {
         const WireId w = nl.outputs[i];
         if (w >= wires)
-            acc.error(CircuitLintCode::DanglingOutput, i, w,
+            acc.error(LintCode::DanglingOutput, i, w,
                       "output names undefined wire " +
                           std::to_string(w) + " (" +
                           std::to_string(wires) + " wires exist)");
@@ -297,8 +147,6 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
     if (nl.constOne != kNoWire)
         val[nl.constOne] = kValOne;
 
-    // AND depth for the cost report.
-    std::vector<uint32_t> depth(wires, 0);
 
     // Structural hashing with transitive aliasing — the exact
     // mergeDuplicateGates criterion (optimize.cc), which is what makes
@@ -347,8 +195,6 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             depG[out] = depG[gate.a] || depG[gate.b];
             depE[out] = depE[gate.a] || depE[gate.b];
         }
-        depth[out] = std::max(depth[gate.a], depth[gate.b]) +
-                     (gate.op == GateOp::And ? 1 : 0);
 
         const WireId ra = resolve(gate.a);
         const WireId rb = resolve(gate.b);
@@ -360,12 +206,12 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             alias[out] = it->second;
 
         if (!live[out]) {
-            acc.warn(CircuitLintCode::DeadGate, g, out,
+            acc.warn(LintCode::DeadGate, g, out,
                      opName(gate.op) + "(" + std::to_string(gate.a) +
                          ", " + std::to_string(gate.b) +
                          ") cannot reach any primary output");
         } else if (v != kValTop) {
-            acc.warn(CircuitLintCode::ConstantCone, g, out,
+            acc.warn(LintCode::ConstantCone, g, out,
                      opName(gate.op) + "(" + std::to_string(gate.a) +
                          ", " + std::to_string(gate.b) +
                          ") always evaluates to " +
@@ -373,7 +219,7 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
                          " — a constant-foldable cone");
         }
         if (dup)
-            acc.warn(CircuitLintCode::DuplicateGate, g, out,
+            acc.warn(LintCode::DuplicateGate, g, out,
                      opName(gate.op) + "(" + std::to_string(gate.a) +
                          ", " + std::to_string(gate.b) +
                          ") structurally duplicates the gate driving "
@@ -392,7 +238,7 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             continue;
         const bool garbler = w < nl.numGarblerInputs;
         const uint32_t idx = garbler ? w : w - nl.numGarblerInputs;
-        acc.warn(CircuitLintCode::UnusedInput, idx, w,
+        acc.warn(LintCode::UnusedInput, idx, w,
                  std::string(garbler ? "garbler" : "evaluator") +
                      " input " + std::to_string(idx) +
                      " is never read");
@@ -407,7 +253,7 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
             const WireId w = nl.outputs[i];
             if (depE[w])
                 continue;
-            acc.warn(CircuitLintCode::InertOutput, i, w,
+            acc.warn(LintCode::InertOutput, i, w,
                      val[w] != kValTop
                          ? "output is the constant " +
                                std::to_string(int(val[w])) +
@@ -421,16 +267,7 @@ analyzeNetlistDeep(const Netlist &nl, Accumulator &acc)
         }
     }
 
-    CircuitCost &cost = acc.rep.cost;
-    cost.gates = nl.numGates();
-    cost.andGates = nl.numAndGates();
-    cost.xorGates = cost.gates - cost.andGates;
-    for (WireId w : nl.outputs)
-        cost.multDepth = std::max(cost.multDepth, depth[w]);
-    cost.freeXorPercent =
-        cost.gates == 0 ? 0.0
-                        : 100.0 * double(cost.xorGates) /
-                              double(cost.gates);
+    acc.cost = circuitCost(nl);
 }
 
 /**
@@ -446,19 +283,19 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
     using chain::SourceKind;
 
     if (plan.nodes.empty()) {
-        acc.error(CircuitLintCode::PlanShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::PlanShape, kNoSite, kNoWire,
                   "chain plan has no nodes");
         return false;
     }
     if (plan.nodes.size() > chain::kMaxChainNodes) {
-        acc.error(CircuitLintCode::PlanShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::PlanShape, kNoSite, kNoWire,
                   "chain plan exceeds " +
                       std::to_string(chain::kMaxChainNodes) +
                       " nodes");
         return false;
     }
     if (plan.sources.size() != plan.nodes.size()) {
-        acc.error(CircuitLintCode::PlanShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::PlanShape, kNoSite, kNoWire,
                   "chain plan has " +
                       std::to_string(plan.sources.size()) +
                       " source lists for " +
@@ -467,7 +304,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
     }
     if (plan.garblerInputs > chain::kMaxChainInputs ||
         plan.evaluatorInputs > chain::kMaxChainInputs)
-        acc.error(CircuitLintCode::PlanShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::PlanShape, kNoSite, kNoWire,
                   "chain plan declares more than " +
                       std::to_string(chain::kMaxChainInputs) +
                       " inputs per party");
@@ -476,13 +313,13 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
     for (size_t n = 0; n < plan.nodes.size(); ++n) {
         const std::string err = plan.nodes[n].check();
         if (!err.empty()) {
-            acc.error(CircuitLintCode::PlanShape, uint32_t(n), kNoWire,
+            acc.error(LintCode::PlanShape, uint32_t(n), kNoWire,
                       "node " + std::to_string(n) + ": " + err);
             ports_ok = false;
             continue;
         }
         if (plan.sources[n].size() != plan.nodes[n].inputBits()) {
-            acc.error(CircuitLintCode::PortWidthMismatch, uint32_t(n),
+            acc.error(LintCode::PortWidthMismatch, uint32_t(n),
                       kNoWire,
                       "node " + std::to_string(n) + " (" +
                           plan.nodes[n].name() + ") takes " +
@@ -498,7 +335,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
             switch (s.kind) {
             case SourceKind::Garbler:
                 if (s.index >= plan.garblerInputs)
-                    acc.error(CircuitLintCode::PlanInputRange,
+                    acc.error(LintCode::PlanInputRange,
                               uint32_t(n), kNoWire,
                               port + ": garbler input " +
                                   std::to_string(s.index) +
@@ -509,7 +346,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
             case SourceKind::Evaluator:
                 if (s.index >= plan.evaluatorInputs)
                     acc.error(
-                        CircuitLintCode::PlanInputRange, uint32_t(n),
+                        LintCode::PlanInputRange, uint32_t(n),
                         kNoWire,
                         port + ": evaluator input " +
                             std::to_string(s.index) +
@@ -519,7 +356,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
                 break;
             case SourceKind::Link:
                 if (s.from.node >= n) {
-                    acc.error(CircuitLintCode::LinkOrder, uint32_t(n),
+                    acc.error(LintCode::LinkOrder, uint32_t(n),
                               kNoWire,
                               port + ": links node " +
                                   std::to_string(s.from.node) +
@@ -529,7 +366,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
                 } else if (s.from.bit >=
                            plan.nodes[s.from.node].outputBits()) {
                     acc.error(
-                        CircuitLintCode::PortRange, uint32_t(n),
+                        LintCode::PortRange, uint32_t(n),
                         kNoWire,
                         port + ": links output bit " +
                             std::to_string(s.from.bit) + " of " +
@@ -544,7 +381,7 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
             case SourceKind::One:
                 break;
             default:
-                acc.error(CircuitLintCode::PlanShape, uint32_t(n),
+                acc.error(LintCode::PlanShape, uint32_t(n),
                           kNoWire, port + ": unknown source kind");
                 break;
             }
@@ -552,18 +389,18 @@ checkPlanStructure(const chain::ChainPlan &plan, Accumulator &acc)
     }
 
     if (plan.outputs.empty())
-        acc.error(CircuitLintCode::PlanShape, kNoCircuitSite, kNoWire,
+        acc.error(LintCode::PlanShape, kNoSite, kNoWire,
                   "chain plan has no outputs");
     for (size_t i = 0; i < plan.outputs.size(); ++i) {
         const chain::PortRef &ref = plan.outputs[i];
         if (ref.node >= plan.nodes.size()) {
-            acc.error(CircuitLintCode::DanglingOutput, uint32_t(i),
+            acc.error(LintCode::DanglingOutput, uint32_t(i),
                       kNoWire,
                       "output " + std::to_string(i) + ": node " +
                           std::to_string(ref.node) + " out of range");
         } else if (plan.nodes[ref.node].check().empty() &&
                    ref.bit >= plan.nodes[ref.node].outputBits()) {
-            acc.error(CircuitLintCode::DanglingOutput, uint32_t(i),
+            acc.error(LintCode::DanglingOutput, uint32_t(i),
                       kNoWire,
                       "output " + std::to_string(i) + ": bit " +
                           std::to_string(ref.bit) +
@@ -595,7 +432,7 @@ checkLinkTweaks(const chain::ChainPlan &plan, Accumulator &acc)
             os << "link " << i << " tweak 0x" << std::hex << t
                << " is outside the CLNK domain (0x"
                << chain::kChainLinkTweakBase << " + ordinal)";
-            acc.error(CircuitLintCode::LinkTweakDomain, i, kNoWire,
+            acc.error(LintCode::LinkTweakDomain, i, kNoWire,
                       os.str());
         }
         auto [it, inserted] = first.emplace(t, i);
@@ -604,7 +441,7 @@ checkLinkTweaks(const chain::ChainPlan &plan, Accumulator &acc)
             os << "link " << i << " reuses tweak 0x" << std::hex << t
                << std::dec << " of link " << it->second
                << " — their encryption domains collapse";
-            acc.error(CircuitLintCode::LinkTweakReuse, i, kNoWire,
+            acc.error(LintCode::LinkTweakReuse, i, kNoWire,
                       os.str());
         }
     }
@@ -634,7 +471,7 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
     }
     for (size_t n = 0; n < plan.nodes.size(); ++n)
         if (!node_live[n])
-            acc.warn(CircuitLintCode::DeadNode, uint32_t(n), kNoWire,
+            acc.warn(LintCode::DeadNode, uint32_t(n), kNoWire,
                      "node " + std::to_string(n) + " (" +
                          plan.nodes[n].name() +
                          ") feeds no plan output or later node");
@@ -651,12 +488,12 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
         }
     for (uint32_t i = 0; i < plan.garblerInputs; ++i)
         if (!g_used[i])
-            acc.warn(CircuitLintCode::UnusedPlanInput, i, kNoWire,
+            acc.warn(LintCode::UnusedPlanInput, i, kNoWire,
                      "garbler plan input " + std::to_string(i) +
                          " is wired to no component port");
     for (uint32_t i = 0; i < plan.evaluatorInputs; ++i)
         if (!e_used[i])
-            acc.warn(CircuitLintCode::UnusedPlanInput, i, kNoWire,
+            acc.warn(LintCode::UnusedPlanInput, i, kNoWire,
                      "evaluator plan input " + std::to_string(i) +
                          " is wired to no component port");
 
@@ -665,39 +502,42 @@ analyzePlanDeep(const chain::ChainPlan &plan, Accumulator &acc)
     // check(), which runs this analysis structurally (deep = false),
     // so there is no recursion.
     const Netlist mono = plan.monolithic();
-    CircuitLintOptions mopts;
+    AnalyzeOptions mopts;
     mopts.warnings = acc.opts.warnings;
-    const CircuitLintReport mrep = analyzeNetlist(mono, mopts);
-    acc.rep.cost = mrep.cost;
-    for (const CircuitDiag &d : mrep.diags) {
-        if (d.code != CircuitLintCode::InertOutput)
+    for (const Diag &d : analyzeNetlist(mono, mopts, &acc.cost).diags) {
+        if (d.code != LintCode::InertOutput)
             continue;
-        acc.warn(CircuitLintCode::InertOutput, d.site, kNoWire,
+        acc.warn(LintCode::InertOutput, d.site, kNoWire,
                  "plan " + d.message);
     }
 }
 
 } // namespace
 
-CircuitLintReport
-analyzeNetlist(const Netlist &netlist, const CircuitLintOptions &opts)
+LintReport
+analyzeNetlist(const Netlist &netlist, const AnalyzeOptions &opts,
+               CircuitCost *cost)
 {
     Accumulator acc(opts);
     if (checkNetlistStructure(netlist, acc) && acc.rep.errors == 0 &&
         opts.deep)
         analyzeNetlistDeep(netlist, acc);
+    if (cost != nullptr)
+        *cost = acc.cost;
     return std::move(acc.rep);
 }
 
-CircuitLintReport
-analyzeChainPlan(const chain::ChainPlan &plan,
-                 const CircuitLintOptions &opts)
+LintReport
+analyzeChainPlan(const chain::ChainPlan &plan, const AnalyzeOptions &opts,
+                 CircuitCost *cost)
 {
     Accumulator acc(opts);
     if (checkPlanStructure(plan, acc))
         checkLinkTweaks(plan, acc);
     if (acc.rep.errors == 0 && opts.deep)
         analyzePlanDeep(plan, acc);
+    if (cost != nullptr)
+        *cost = acc.cost;
     return std::move(acc.rep);
 }
 
@@ -722,20 +562,6 @@ circuitCost(const Netlist &netlist)
             ? 0.0
             : 100.0 * double(cost.xorGates) / double(cost.gates);
     return cost;
-}
-
-std::string
-formatCircuitDiag(const CircuitDiag &diag, const std::string &file)
-{
-    std::ostringstream os;
-    if (!file.empty())
-        os << file << ": ";
-    os << circuitSeverityName(diag.severity) << '['
-       << circuitLintCodeName(diag.code) << "]: " << diag.message;
-    const char *noun = siteNoun(diag.code);
-    if (noun != nullptr && diag.site != kNoCircuitSite)
-        os << " (" << noun << " #" << diag.site << ')';
-    return os.str();
 }
 
 } // namespace haac

@@ -1,6 +1,6 @@
 /**
  * @file
- * haac-netlint: whole-circuit static analysis for netlists and
+ * The circuit analyzer: whole-circuit static analysis for netlists and
  * ChainPlans — the admission gate for untrusted circuits.
  *
  * The circuit-layer complement to the ISA verifier (core/isa/verify.h):
@@ -46,91 +46,24 @@
  *    the numbers that price a circuit before it is admitted; attached
  *    to CompileStats by Session::compile().
  *
- * Diagnostics are structured (stable code, severity, site) in the PR 7
- * style so the Bristol reader, Session, the server admission gate, and
- * the haac_netlint CLI report through one vocabulary. The code table
- * is documented in docs/ARCHITECTURE.md.
+ * Findings are lint/diag.h Diags (stable code, severity, site), the
+ * vocabulary the ISA verifier shares. The code table is documented in
+ * docs/ARCHITECTURE.md.
  */
 #ifndef HAAC_CIRCUIT_ANALYZE_H
 #define HAAC_CIRCUIT_ANALYZE_H
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "circuit/netlist.h"
+#include "lint/diag.h"
 
 namespace haac {
 
 namespace chain {
 struct ChainPlan; // chain/link.h
 }
-
-/** Severity of one circuit diagnostic. */
-enum class CircuitSeverity
-{
-    Error,   ///< garbling it would crash, diverge, or leak — reject
-    Warning, ///< legal but wasteful or suspicious
-    Note,    ///< context attached to a preceding diagnostic
-};
-
-/**
- * Stable diagnostic codes. Enumerator order is the severity-major
- * order used in docs/ARCHITECTURE.md; circuitLintCodeName() gives the
- * kebab-case spelling tools print and tests grep for.
- */
-enum class CircuitLintCode
-{
-    // --- errors -----------------------------------------------------
-    UseBeforeDef,      ///< operand at/after its own output (= cycle)
-    WireOutOfRange,    ///< operand past the netlist's address space
-    MultiplyDriven,    ///< Bristol file wire written more than once
-    DanglingOutput,    ///< output names an undefined wire or port
-    InputShape,        ///< input counts overflow / constOne misplaced
-    PlanShape,         ///< plan node/source/output lists malformed
-    PortWidthMismatch, ///< source list size != component input bits
-    PlanInputRange,    ///< source names an undeclared plan input
-    LinkOrder,         ///< link names a non-earlier node (= cycle)
-    PortRange,         ///< link names a nonexistent output bit
-    LinkTweakReuse,    ///< two links share a CLNK tweak (security)
-    LinkTweakDomain,   ///< link tweak outside the CLNK domain
-    // --- warnings ---------------------------------------------------
-    DeadGate,          ///< gate cannot reach any primary output
-    UnusedInput,       ///< declared input nobody reads
-    ConstantCone,      ///< gate output statically constant
-    DuplicateGate,     ///< structural duplicate (optimizer-mergeable)
-    InertOutput,       ///< output with no evaluator-input dependence
-    DeadNode,          ///< plan node feeding no output or later node
-    UnusedPlanInput,   ///< declared plan input no source names
-};
-
-/** Kebab-case code name, e.g. "link-tweak-reuse". */
-const char *circuitLintCodeName(CircuitLintCode code);
-
-/** "error" / "warning" / "note". */
-const char *circuitSeverityName(CircuitSeverity sev);
-
-/** Sentinel for diagnostics not tied to one gate / node / output. */
-inline constexpr uint32_t kNoCircuitSite = ~uint32_t(0);
-
-/** One structured finding. */
-struct CircuitDiag
-{
-    CircuitLintCode code = CircuitLintCode::UseBeforeDef;
-    CircuitSeverity severity = CircuitSeverity::Error;
-
-    /**
-     * Site index, or kNoCircuitSite. Gate index for gate-scope codes;
-     * plan node index for node-scope codes; output index for
-     * DanglingOutput / InertOutput.
-     */
-    uint32_t site = kNoCircuitSite;
-
-    /** Wire involved (kNoWire when not applicable / plan scope). */
-    WireId wire = kNoWire;
-
-    std::string message;
-};
 
 /**
  * The cost report: what admitting this circuit will charge the
@@ -149,7 +82,7 @@ struct CircuitCost
     double freeXorPercent = 0;
 };
 
-struct CircuitLintOptions
+struct AnalyzeOptions
 {
     /** Emit warnings (waste, taint) in addition to errors. */
     bool warnings = true;
@@ -172,64 +105,35 @@ struct CircuitLintOptions
     const std::vector<uint64_t> *linkTweaks = nullptr;
 };
 
-struct CircuitLintReport
-{
-    std::vector<CircuitDiag> diags;
-    uint32_t errors = 0;
-    uint32_t warnings = 0;
-    uint32_t notes = 0;
-
-    /** Filled by the deep pass; zeros when errors suppressed it. */
-    CircuitCost cost;
-
-    /** No errors (warnings allowed). */
-    bool clean() const { return errors == 0; }
-
-    /** "2 errors, 1 warning" (never empty). */
-    std::string summary() const;
-
-    /** First error's message, or "" when clean. */
-    std::string firstError() const;
-
-    /** True if any diagnostic carries @p code. */
-    bool has(CircuitLintCode code) const;
-};
-
 /**
  * Analyze one netlist: structural errors in one scan, then the
- * dataflow warnings and the cost report. Never evaluates; runtime is
+ * dataflow warnings and, into @p cost when set, the cost report (zeros
+ * when errors suppress the deep pass). Never evaluates; runtime is
  * O(gates) and allocation-light, so Session::compile() affords it as
  * a pre-pass on every Debug build.
  */
-CircuitLintReport
-analyzeNetlist(const Netlist &netlist,
-               const CircuitLintOptions &opts = CircuitLintOptions{});
+LintReport analyzeNetlist(const Netlist &netlist,
+                          const AnalyzeOptions &opts = AnalyzeOptions{},
+                          CircuitCost *cost = nullptr);
 
 /**
  * Analyze one chain plan: the structural checks behind
  * ChainPlan::check(), the CLNK tweak-uniqueness proof, and (deep)
- * plan-level reachability plus the flattened netlist's taint and cost.
+ * plan-level reachability plus the flattened netlist's taint and, into
+ * @p cost when set, its cost report.
  * Gate-granular waste inside components is deliberately not surfaced:
  * a pooled component is garbled whole regardless, so partially
  * consumed component interiors are priced, not warned.
  */
-CircuitLintReport
-analyzeChainPlan(const chain::ChainPlan &plan,
-                 const CircuitLintOptions &opts = CircuitLintOptions{});
+LintReport analyzeChainPlan(const chain::ChainPlan &plan,
+                            const AnalyzeOptions &opts = AnalyzeOptions{},
+                            CircuitCost *cost = nullptr);
 
 /**
  * Just the cost report, skipping diagnostics. The netlist must be
  * structurally valid (Netlist::check() empty / analyzer-clean).
  */
 CircuitCost circuitCost(const Netlist &netlist);
-
-/**
- * One diagnostic as a compiler-style line:
- * "adder.txt: error[use-before-def]: ... (gate #12)" (file elided
- * when empty; site appended per its scope).
- */
-std::string formatCircuitDiag(const CircuitDiag &diag,
-                              const std::string &file = std::string());
 
 } // namespace haac
 

@@ -16,25 +16,8 @@ fail(const std::string &msg)
     throw std::runtime_error("bristol: " + msg);
 }
 
-/** Record one parse-level diagnostic into an attached report. */
-void
-attach(CircuitLintReport *lints, CircuitLintCode code, uint32_t site,
-       WireId wire, std::string msg)
-{
-    if (lints == nullptr)
-        return;
-    CircuitDiag d;
-    d.code = code;
-    d.severity = CircuitSeverity::Error;
-    d.site = site;
-    d.wire = wire;
-    d.message = std::move(msg);
-    lints->diags.push_back(std::move(d));
-    ++lints->errors;
-}
-
 Netlist
-readBristolImpl(std::istream &in, CircuitLintReport *lints)
+readBristolImpl(std::istream &in, LintReport *lints)
 {
     uint64_t ngates = 0, nwires = 0;
     if (!(in >> ngates >> nwires))
@@ -117,14 +100,14 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
         // A second definition of a file wire: the map overwrite below
         // silently retargets every later reader to this gate (last
         // definition wins) — exactly the miscompile the lint surfaces.
-        if (map[rg.out] != kNoWire)
-            attach(lints, CircuitLintCode::MultiplyDriven,
-                   uint32_t(gi), WireId(rg.out),
-                   "file wire " + std::to_string(rg.out) +
-                       " is driven again by " + rg.op + " gate " +
-                       std::to_string(gi) +
-                       " — later readers silently rebind to the "
-                       "last definition");
+        if (map[rg.out] != kNoWire && lints != nullptr)
+            lints->add({LintCode::MultiplyDriven, Severity::Error,
+                        uint32_t(gi), WireId(rg.out), 0,
+                        "file wire " + std::to_string(rg.out) +
+                            " is driven again by " + rg.op + " gate " +
+                            std::to_string(gi) +
+                            " — later readers silently rebind to the "
+                            "last definition"});
         const WireId a = map[rg.a];
         if (a == kNoWire)
             fail("gate reads an undefined wire (not topologically sorted)");
@@ -161,15 +144,9 @@ readBristolImpl(std::istream &in, CircuitLintReport *lints)
     if (!err.empty())
         fail("canonicalization failed: " + err);
 
-    if (lints != nullptr) {
-        const CircuitLintReport rep = analyzeNetlist(nl);
-        for (const CircuitDiag &d : rep.diags)
-            lints->diags.push_back(d);
-        lints->errors += rep.errors;
-        lints->warnings += rep.warnings;
-        lints->notes += rep.notes;
-        lints->cost = rep.cost;
-    }
+    if (lints != nullptr)
+        for (Diag &d : analyzeNetlist(nl).diags)
+            lints->add(std::move(d));
     return nl;
 }
 
@@ -182,7 +159,7 @@ readBristol(std::istream &in)
 }
 
 Netlist
-readBristol(std::istream &in, CircuitLintReport *lints)
+readBristol(std::istream &in, LintReport *lints)
 {
     return readBristolImpl(in, lints);
 }
@@ -197,7 +174,7 @@ readBristolFile(const std::string &path)
 }
 
 Netlist
-readBristolFile(const std::string &path, CircuitLintReport *lints)
+readBristolFile(const std::string &path, LintReport *lints)
 {
     std::ifstream f(path);
     if (!f)
@@ -213,7 +190,7 @@ readBristolString(const std::string &text)
 }
 
 Netlist
-readBristolString(const std::string &text, CircuitLintReport *lints)
+readBristolString(const std::string &text, LintReport *lints)
 {
     std::istringstream ss(text);
     return readBristol(ss, lints);

@@ -16,8 +16,8 @@
  * wire written twice silently retargets later readers (last definition
  * wins in the wire map), which surfaces as a MultiplyDriven error
  * diagnostic. Lints are *attached, not enforced* — parsing succeeds so
- * callers (the server admission gate, haac_netlint) decide the
- * policy; only unrecoverable text-level failures still throw.
+ * callers (the server admission gate, haac_lint) decide the policy;
+ * only unrecoverable text-level failures still throw.
  */
 #ifndef HAAC_CIRCUIT_BRISTOL_H
 #define HAAC_CIRCUIT_BRISTOL_H
@@ -40,11 +40,9 @@ Netlist readBristolString(const std::string &text);
  * full analyzer report plus parse-level MultiplyDriven findings into
  * @p lints (which must be non-null). Text-level failures still throw.
  */
-Netlist readBristol(std::istream &in, CircuitLintReport *lints);
-Netlist readBristolFile(const std::string &path,
-                        CircuitLintReport *lints);
-Netlist readBristolString(const std::string &text,
-                          CircuitLintReport *lints);
+Netlist readBristol(std::istream &in, LintReport *lints);
+Netlist readBristolFile(const std::string &path, LintReport *lints);
+Netlist readBristolString(const std::string &text, LintReport *lints);
 
 /** Serialize a canonical netlist to the old Bristol format. */
 void writeBristol(const Netlist &netlist, std::ostream &out);

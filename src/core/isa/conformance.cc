@@ -197,8 +197,8 @@ checkConformance(const HaacProgram &prog, const HaacConfig &cfg,
     lint.streams = &streams;
     const LintReport lrep = verifyProgram(prog, lint);
     if (!lrep.clean()) {
-        for (const LintDiag &d : lrep.diags) {
-            if (d.severity != LintSeverity::Error)
+        for (const Diag &d : lrep.diags) {
+            if (d.severity != Severity::Error)
                 continue;
             res.error = "verifier: error[" +
                         std::string(lintCodeName(d.code)) +
@@ -503,8 +503,8 @@ runAsmCase(const std::string &path, const HaacConfig &cfg)
     lint.instrLines = &parsed.instrLines;
     const LintReport lrep = verifyProgram(parsed.prog, lint);
     if (!lrep.clean()) {
-        for (const LintDiag &d : lrep.diags) {
-            if (d.severity != LintSeverity::Error)
+        for (const Diag &d : lrep.diags) {
+            if (d.severity != Severity::Error)
                 continue;
             res.error = formatDiag(d, path);
             break;

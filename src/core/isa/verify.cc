@@ -11,172 +11,52 @@
 
 namespace haac {
 
-const char *
-lintCodeName(LintCode code)
-{
-    switch (code) {
-      case LintCode::SentinelOperand:
-        return "sentinel-operand";
-      case LintCode::UseBeforeDef:
-        return "use-before-def";
-      case LintCode::NopOutputRead:
-        return "nop-output-read";
-      case LintCode::TweakReuse:
-        return "tweak-reuse";
-      case LintCode::InputSplit:
-        return "input-split";
-      case LintCode::ConstOne:
-        return "const-one";
-      case LintCode::UndefinedOutput:
-        return "undefined-output";
-      case LintCode::OutputNotLive:
-        return "output-not-live";
-      case LintCode::DroppedLiveBit:
-        return "dropped-live-bit";
-      case LintCode::StreamCoverage:
-        return "stream-coverage";
-      case LintCode::StreamOorMismatch:
-        return "stream-oor-mismatch";
-      case LintCode::StreamTableCount:
-        return "stream-table-count";
-      case LintCode::ShardManifestBad:
-        return "shard-manifest";
-      case LintCode::ShardImportMissing:
-        return "shard-import-missing";
-      case LintCode::ShardExportMissing:
-        return "shard-export-missing";
-      case LintCode::ShardExportDead:
-        return "shard-export-dead";
-      case LintCode::LivenessWaste:
-        return "liveness-waste";
-      case LintCode::NoncanonicalOperand:
-        return "noncanonical-operand";
-      case LintCode::StrayTweak:
-        return "stray-tweak";
-      case LintCode::ShardImportUnused:
-        return "shard-import-unused";
-      case LintCode::ShardExportUnused:
-        return "shard-export-unused";
-    }
-    return "?";
-}
-
-const char *
-lintSeverityName(LintSeverity sev)
-{
-    switch (sev) {
-      case LintSeverity::Error:
-        return "error";
-      case LintSeverity::Warning:
-        return "warning";
-      case LintSeverity::Note:
-        return "note";
-    }
-    return "?";
-}
-
-std::string
-LintReport::summary() const
-{
-    std::ostringstream os;
-    os << errors << (errors == 1 ? " error, " : " errors, ") << warnings
-       << (warnings == 1 ? " warning" : " warnings");
-    if (notes > 0)
-        os << ", " << notes << (notes == 1 ? " note" : " notes");
-    return os.str();
-}
-
-std::string
-LintReport::firstError() const
-{
-    for (const LintDiag &d : diags)
-        if (d.severity == LintSeverity::Error)
-            return d.message;
-    return "";
-}
-
-std::string
-formatDiag(const LintDiag &diag, const std::string &file)
-{
-    std::ostringstream os;
-    if (!file.empty()) {
-        os << file << ':';
-        if (diag.line > 0)
-            os << diag.line << ':';
-        os << ' ';
-    } else if (diag.line > 0) {
-        os << "line " << diag.line << ": ";
-    }
-    os << lintSeverityName(diag.severity) << '['
-       << lintCodeName(diag.code) << "]: " << diag.message;
-    if (diag.instr != kNoLintInstr && diag.line == 0)
-        os << " (instruction #" << diag.instr << ')';
-    return os.str();
-}
-
 namespace {
 
-/** Accumulates diagnostics and the summary counters. */
+/** Runs the checks; findings accumulate in one report. */
 struct Linter
 {
     const HaacProgram &prog;
     const LintOptions &opts;
     LintReport rep;
+    uint64_t wasteBytes = 0;
 
     uint32_t
     lineOf(uint32_t instr) const
     {
-        if (opts.instrLines == nullptr || instr == kNoLintInstr ||
+        if (opts.instrLines == nullptr || instr == kNoSite ||
             instr >= opts.instrLines->size())
             return 0;
         return (*opts.instrLines)[instr];
     }
 
     void
-    emit(LintCode code, LintSeverity sev, uint32_t instr, uint32_t addr,
+    emit(LintCode code, Severity sev, uint32_t instr, uint32_t addr,
          std::string msg)
     {
-        if (sev != LintSeverity::Error && !opts.warnings)
+        if (sev != Severity::Error && !opts.warnings)
             return;
-        LintDiag d;
-        d.code = code;
-        d.severity = sev;
-        d.instr = instr;
-        d.addr = addr;
-        d.line = lineOf(instr);
-        d.message = std::move(msg);
-        switch (sev) {
-          case LintSeverity::Error:
-            ++rep.errors;
-            break;
-          case LintSeverity::Warning:
-            ++rep.warnings;
-            break;
-          case LintSeverity::Note:
-            ++rep.notes;
-            break;
-        }
-        rep.diags.push_back(std::move(d));
+        rep.add({code, sev, instr, addr, lineOf(instr), std::move(msg)});
     }
 
     void
     error(LintCode code, uint32_t instr, uint32_t addr, std::string msg)
     {
-        emit(code, LintSeverity::Error, instr, addr, std::move(msg));
+        emit(code, Severity::Error, instr, addr, std::move(msg));
     }
 
     void
     warn(LintCode code, uint32_t instr, uint32_t addr, std::string msg)
     {
-        emit(code, LintSeverity::Warning, instr, addr, std::move(msg));
+        emit(code, Severity::Warning, instr, addr, std::move(msg));
     }
 
-    /** Producer instruction index of @p addr, or kNoLintInstr. */
+    /** Producer instruction index of @p addr, or kNoSite. */
     uint32_t
     producerOf(uint32_t addr) const
     {
         if (addr <= prog.numInputs || addr >= prog.numAddrs())
-            return kNoLintInstr;
+            return kNoSite;
         return addr - prog.numInputs - 1;
     }
 
@@ -184,7 +64,7 @@ struct Linter
     isNopOutput(uint32_t addr) const
     {
         const uint32_t p = producerOf(addr);
-        return p != kNoLintInstr && prog.instrs[p].op == HaacOp::Nop;
+        return p != kNoSite && prog.instrs[p].op == HaacOp::Nop;
     }
 
     // --- structural checks (window-independent) ---------------------
@@ -200,23 +80,23 @@ struct Linter
                << " garbler + " << prog.numEvaluatorInputs
                << " evaluator does not fit " << prog.numInputs
                << " input wires (at most one extra, the constant one)";
-            error(LintCode::InputSplit, kNoLintInstr, kOorAddr,
+            error(LintCode::InputSplit, kNoSite, kNoSite,
                   os.str());
             return;
         }
         const bool slot = prog.numInputs == parties + 1;
         if (slot && prog.constOneAddr == kOorAddr) {
-            error(LintCode::ConstOne, kNoLintInstr, kOorAddr,
+            error(LintCode::ConstOne, kNoSite, kNoSite,
                   "the input count implies a constant-one wire at w" +
                       std::to_string(prog.numInputs) +
                       " but constOneAddr is unset");
         } else if (!slot && prog.constOneAddr != kOorAddr) {
-            error(LintCode::ConstOne, kNoLintInstr, prog.constOneAddr,
+            error(LintCode::ConstOne, kNoSite, prog.constOneAddr,
                   "constOneAddr is w" +
                       std::to_string(prog.constOneAddr) +
                       " but every input wire belongs to a party");
         } else if (slot && prog.constOneAddr != prog.numInputs) {
-            error(LintCode::ConstOne, kNoLintInstr, prog.constOneAddr,
+            error(LintCode::ConstOne, kNoSite, prog.constOneAddr,
                   "the constant-one wire must be the last input (w" +
                       std::to_string(prog.numInputs) + "), not w" +
                       std::to_string(prog.constOneAddr));
@@ -284,7 +164,7 @@ struct Linter
                        << " already used by instruction #" << it->second
                        << " — reuse collapses the correlation-robust "
                           "hash tweak domain (security error)";
-                    error(LintCode::TweakReuse, k, kOorAddr, os.str());
+                    error(LintCode::TweakReuse, k, kNoSite, os.str());
                 } else {
                     tweakOwner.emplace(ins.tweak, k);
                 }
@@ -292,7 +172,7 @@ struct Linter
                 std::ostringstream os;
                 os << opName(ins.op) << " carries tweak " << ins.tweak
                    << " but only AND instructions consume tweaks";
-                warn(LintCode::StrayTweak, k, kOorAddr, os.str());
+                warn(LintCode::StrayTweak, k, kNoSite, os.str());
             }
         }
     }
@@ -307,7 +187,7 @@ struct Linter
                 os << "program output " << i << " is w" << o
                    << ", outside the defined address space [1, "
                    << prog.numAddrs() - 1 << "]";
-                error(LintCode::UndefinedOutput, kNoLintInstr, o,
+                error(LintCode::UndefinedOutput, kNoSite, o,
                       os.str());
                 continue;
             }
@@ -342,7 +222,7 @@ struct Linter
                 if (addr >= base)
                     return;
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr)
+                if (p == kNoSite)
                     return; // primary inputs are always resident
                 offWindowRead[p] = true;
                 if (!prog.instrs[p].live) {
@@ -368,7 +248,7 @@ struct Linter
         for (size_t i = 0; i < prog.outputs.size(); ++i) {
             const uint32_t o = prog.outputs[i];
             const uint32_t p = producerOf(o);
-            if (p == kNoLintInstr)
+            if (p == kNoSite)
                 continue; // input-addressed outputs decode directly
             justified[p] = true;
             if (prog.instrs[p].op != HaacOp::Nop &&
@@ -387,7 +267,7 @@ struct Linter
             for (const auto &exp : opts.shards->exports)
                 for (uint32_t addr : exp) {
                     const uint32_t p = producerOf(addr);
-                    if (p != kNoLintInstr)
+                    if (p != kNoSite)
                         justified[p] = true;
                 }
         }
@@ -398,7 +278,7 @@ struct Linter
                 justified[k])
                 continue;
             ++wasted;
-            rep.wasteBytes += kLabelBytes;
+            wasteBytes += kLabelBytes;
             std::ostringstream os;
             os << "live bit on w" << prog.outputAddrOf(size_t(k))
                << " buys nothing: no instruction reads it off-window "
@@ -410,11 +290,11 @@ struct Linter
         if (wasted > 0 && opts.warnings) {
             std::ostringstream os;
             os << wasted << " wastefully live wire"
-               << (wasted == 1 ? "" : "s") << " = " << rep.wasteBytes
+               << (wasted == 1 ? "" : "s") << " = " << wasteBytes
                << " bytes of avoidable DRAM write traffic at "
                << opts.swwWires << "-wire SWW";
-            emit(LintCode::LivenessWaste, LintSeverity::Note,
-                 kNoLintInstr, kOorAddr, os.str());
+            emit(LintCode::LivenessWaste, Severity::Note,
+                 kNoSite, kNoSite, os.str());
         }
     }
 
@@ -429,7 +309,7 @@ struct Linter
             std::ostringstream os;
             os << "StreamSet::geOf has " << set.geOf.size()
                << " entries for " << n << " instructions";
-            error(LintCode::StreamCoverage, kNoLintInstr, kOorAddr,
+            error(LintCode::StreamCoverage, kNoSite, kNoSite,
                   os.str());
             return;
         }
@@ -441,7 +321,7 @@ struct Linter
                 os << "ge" << g << " carries " << ge.instrs.size()
                    << " local instructions for " << ge.instrIdx.size()
                    << " stream slots";
-                error(LintCode::StreamCoverage, kNoLintInstr, kOorAddr,
+                error(LintCode::StreamCoverage, kNoSite, kNoSite,
                       os.str());
                 continue;
             }
@@ -454,8 +334,8 @@ struct Linter
                     os << "ge" << g << " stream slot " << pos
                        << " names instruction #" << idx
                        << ", past the program end";
-                    error(LintCode::StreamCoverage, kNoLintInstr,
-                          kOorAddr, os.str());
+                    error(LintCode::StreamCoverage, kNoSite,
+                          kNoSite, os.str());
                     continue;
                 }
                 ++seen[idx];
@@ -464,7 +344,7 @@ struct Linter
                     os << "instruction #" << idx << " streams on ge"
                        << g << " but geOf maps it to ge"
                        << unsigned(set.geOf[idx]);
-                    error(LintCode::StreamCoverage, idx, kOorAddr,
+                    error(LintCode::StreamCoverage, idx, kNoSite,
                           os.str());
                 }
                 const HaacInstruction &orig = prog.instrs[idx];
@@ -490,7 +370,7 @@ struct Linter
                            << opName(expect.op) << " w" << expect.a
                            << ", w" << expect.b << "'";
                         error(LintCode::StreamOorMismatch, idx,
-                              kOorAddr, os.str());
+                              kNoSite, os.str());
                     }
                 }
                 if (orig.op == HaacOp::And)
@@ -510,16 +390,16 @@ struct Linter
                     os << " (first divergence at pop " << i
                        << ": stream has w" << ge.oorAddrs[i]
                        << ", expected w" << expectOor[i] << ")";
-                error(LintCode::StreamOorMismatch, kNoLintInstr,
-                      kOorAddr, os.str());
+                error(LintCode::StreamOorMismatch, kNoSite,
+                      kNoSite, os.str());
             }
             if (tables != ge.tableCount) {
                 std::ostringstream os;
                 os << "ge" << g << " declares " << ge.tableCount
                    << " table-queue entries but streams " << tables
                    << " AND instructions";
-                error(LintCode::StreamTableCount, kNoLintInstr,
-                      kOorAddr, os.str());
+                error(LintCode::StreamTableCount, kNoSite,
+                      kNoSite, os.str());
             }
         }
         for (size_t idx = 0; idx < n; ++idx) {
@@ -528,7 +408,7 @@ struct Linter
             std::ostringstream os;
             os << "instruction #" << idx << " appears " << seen[idx]
                << " times across the GE streams (must be exactly once)";
-            error(LintCode::StreamCoverage, uint32_t(idx), kOorAddr,
+            error(LintCode::StreamCoverage, uint32_t(idx), kNoSite,
                   os.str());
         }
     }
@@ -547,7 +427,7 @@ struct Linter
                << " import lists, " << man.exports.size()
                << " export lists, " << man.shardOfInstr.size()
                << " instruction owners for " << n << " instructions";
-            error(LintCode::ShardManifestBad, kNoLintInstr, kOorAddr,
+            error(LintCode::ShardManifestBad, kNoSite, kNoSite,
                   os.str());
             return;
         }
@@ -560,11 +440,11 @@ struct Linter
         for (size_t s = 0; s < m; ++s) {
             for (uint32_t addr : man.exports[s]) {
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr) {
+                if (p == kNoSite) {
                     std::ostringstream os;
                     os << "shard " << s << " exports w" << addr
                        << ", which no instruction produces";
-                    error(LintCode::ShardManifestBad, kNoLintInstr,
+                    error(LintCode::ShardManifestBad, kNoSite,
                           addr, os.str());
                     continue;
                 }
@@ -600,7 +480,7 @@ struct Linter
                 if (addr == kOorAddr || addr >= out)
                     return; // structural errors already reported
                 const uint32_t p = producerOf(addr);
-                if (p == kNoLintInstr)
+                if (p == kNoSite)
                     return; // inputs are resident on every shard
                 const uint8_t ps = man.shardOfInstr[p];
                 if (ps == s)
@@ -647,7 +527,7 @@ struct Linter
                 os << "shard " << s << " imports w" << addr
                    << " but no instruction of shard " << s
                    << " reads it across the boundary";
-                warn(LintCode::ShardImportUnused, kNoLintInstr, addr,
+                warn(LintCode::ShardImportUnused, kNoSite, addr,
                      os.str());
             }
             for (uint32_t addr : man.exports[s]) {
@@ -656,7 +536,7 @@ struct Linter
                 std::ostringstream os;
                 os << "shard " << s << " exports w" << addr
                    << " but no other shard imports it";
-                warn(LintCode::ShardExportUnused, kNoLintInstr, addr,
+                warn(LintCode::ShardExportUnused, kNoSite, addr,
                      os.str());
             }
         }
@@ -666,7 +546,8 @@ struct Linter
 } // namespace
 
 LintReport
-verifyProgram(const HaacProgram &prog, const LintOptions &opts)
+verifyProgram(const HaacProgram &prog, const LintOptions &opts,
+              uint64_t *wasteBytes)
 {
     Linter lint{prog, opts, LintReport{}};
     lint.checkInputSplit();
@@ -678,6 +559,8 @@ verifyProgram(const HaacProgram &prog, const LintOptions &opts)
         lint.checkStreams();
     if (opts.shards != nullptr)
         lint.checkShards();
+    if (wasteBytes != nullptr)
+        *wasteBytes = lint.wasteBytes;
     return std::move(lint.rep);
 }
 

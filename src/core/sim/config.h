@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 
 #include "crypto/label.h"
 
@@ -29,6 +30,18 @@ enum class DramKind
 {
     Ddr4,  ///< DDR4-4400, 35.2 GB/s
     Hbm2,  ///< HBM2 PHY, 512 GB/s
+};
+
+/**
+ * A HaacConfig the simulator cannot run (no GEs, no SWW banks, a
+ * window too small to slide). The
+ * sharded runtime decodes configs off the wire, so this is a refusal,
+ * not an assertion.
+ */
+class SimConfigError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
 };
 
 /** Bytes per GE-cycle (1 GHz GE clock makes GB/s == B/cycle). */

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <queue>
+#include <string>
 
 namespace haac {
 
@@ -138,7 +139,16 @@ class Engine
                         mode == SimMode::ComputeOnly),
           banks_(cfg.totalBanks()),
           encBytes_(encodedInstrBytes(cfg.swwWires()))
-    {}
+    {
+        // Queue splits, bank indices and window slides divide by these.
+        if (cfg.numGes == 0 || cfg.banksPerGe == 0 || cfg.swwWires() < 2)
+            throw SimConfigError(
+                "simulator config needs at least one GE, one SWW bank "
+                "per GE and two SWW wires (numGes " +
+                std::to_string(cfg.numGes) + ", banksPerGe " +
+                std::to_string(cfg.banksPerGe) + ", swwWires " +
+                std::to_string(cfg.swwWires()) + ")");
+    }
 
     SimStats run(StreamSet *record);
 

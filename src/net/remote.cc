@@ -206,10 +206,7 @@ runGarblerFrom(const Netlist &netlist,
 
     // Base-OT cache: reuse only when this connection already holds a
     // ready extension sender (the first session populates it).
-    OtConnectionCache *ot_cache = opts.otCache;
-    const bool reuse_ot = ot_cache != nullptr &&
-                          ot_cache->sender != nullptr &&
-                          ot_cache->sender->ready() && m > 0;
+    const bool reuse_ot = otSenderCached(opts.otCache) && m > 0;
     res.otSetupReused = reuse_ot;
 
     // Fingerprint: agree on the circuit before any label moves.
@@ -226,25 +223,12 @@ runGarblerFrom(const Netlist &netlist,
     size_t base = chan.bytesSent();
     const size_t uplink_base = chan.bytesReceived();
     if (m > 0) {
-        std::unique_ptr<OtExtSender> fresh;
-        OtExtSender *ot = nullptr;
-        if (reuse_ot) {
-            ot_cache->sender->rebind(chan, chan);
-            ot = ot_cache->sender.get();
-        } else {
-            fresh = std::make_unique<OtExtSender>(chan, chan,
-                                                  otRandomKey());
-            fresh->setup(); // blocks on evaluator's base-OT key
-            ot = fresh.get();
-        }
         std::vector<Label> m0(m), m1(m);
         for (uint32_t i = 0; i < m; ++i) {
             m0[i] = src.activeLabel(eval_base + i, false);
             m1[i] = src.activeLabel(eval_base + i, true);
         }
-        ot->send(m0, m1);
-        if (ot_cache != nullptr && fresh != nullptr)
-            ot_cache->sender = std::move(fresh);
+        sendOtBatch(chan, opts.otCache, reuse_ot, m0, m1);
     }
     if (netlist.constOne != kNoWire)
         chan.sendLabel(src.activeLabel(netlist.constOne, true));
@@ -290,6 +274,52 @@ runGarblerFrom(const Netlist &netlist,
 }
 
 } // namespace
+
+bool
+otSenderCached(const OtConnectionCache *cache)
+{
+    return cache != nullptr && cache->sender != nullptr &&
+           cache->sender->ready();
+}
+
+void
+sendOtBatch(ByteChannel &chan, OtConnectionCache *cache, bool reuse,
+            const std::vector<Label> &m0, const std::vector<Label> &m1)
+{
+    if (reuse) {
+        cache->sender->rebind(chan, chan);
+        cache->sender->send(m0, m1);
+        return;
+    }
+    auto fresh = std::make_unique<OtExtSender>(chan, chan, otRandomKey());
+    fresh->setup(); // blocks on the evaluator's base-OT key
+    fresh->send(m0, m1);
+    if (cache != nullptr)
+        cache->sender = std::move(fresh);
+}
+
+std::vector<Label>
+receiveOtBatch(ByteChannel &chan, OtConnectionCache *cache, bool cached,
+               const std::vector<bool> &choices)
+{
+    if (cached) {
+        if (cache == nullptr || cache->receiver == nullptr ||
+            !cache->receiver->ready())
+            throw NetError("garbler expects a cached OT setup, but this "
+                           "connection has none");
+        cache->receiver->rebind(chan, chan);
+        cache->receiver->sendChoices(choices);
+        return cache->receiver->receiveLabels();
+    }
+    auto fresh = std::make_unique<OtExtReceiver>(chan, chan, otRandomKey());
+    fresh->start();
+    fresh->setup();
+    fresh->sendChoices(choices);
+    std::vector<Label> labels = fresh->receiveLabels();
+    if (cache != nullptr)
+        cache->receiver = std::move(fresh);
+    return labels;
+}
 
 RemoteResult
 runRemoteGarbler(const Netlist &netlist,
@@ -364,29 +394,10 @@ runRemoteEvaluator(const Netlist &netlist,
     const size_t uplink_base = chan.bytesSent();
     size_t base = chan.bytesReceived();
     if (m > 0) {
-        OtConnectionCache *cache = opts.otCache;
-        std::unique_ptr<OtExtReceiver> fresh;
-        OtExtReceiver *ot = nullptr;
-        if (remote_fp.otCached) {
-            if (cache == nullptr || cache->receiver == nullptr ||
-                !cache->receiver->ready())
-                throw NetError("garbler expects a cached OT setup, "
-                               "but this connection has none");
-            cache->receiver->rebind(chan, chan);
-            ot = cache->receiver.get();
-        } else {
-            fresh = std::make_unique<OtExtReceiver>(chan, chan,
-                                                    otRandomKey());
-            fresh->start();
-            fresh->setup();
-            ot = fresh.get();
-        }
-        ot->sendChoices(evaluator_bits);
-        const std::vector<Label> labels = ot->receiveLabels();
+        const std::vector<Label> labels = receiveOtBatch(
+            chan, opts.otCache, remote_fp.otCached, evaluator_bits);
         for (uint32_t i = 0; i < m; ++i)
             inputs[eval_base + i] = labels[i];
-        if (cache != nullptr && fresh != nullptr)
-            cache->receiver = std::move(fresh);
     }
     if (netlist.constOne != kNoWire)
         inputs[netlist.constOne] = chan.recvLabel();

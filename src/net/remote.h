@@ -58,6 +58,29 @@ struct OtConnectionCache
     std::unique_ptr<OtExtReceiver> receiver; ///< evaluator side
 };
 
+/** True when @p cache (may be null) holds a ready extension sender. */
+bool otSenderCached(const OtConnectionCache *cache);
+
+/**
+ * The garbler's OT phase: one IKNP batch offering (m0[i], m1[i]) over
+ * @p chan. With @p reuse (announced in the fingerprint), the cache's
+ * sender is rebound to @p chan; otherwise a fresh sender runs the base
+ * phase and, when @p cache is set, is stored back for the next session.
+ */
+void sendOtBatch(ByteChannel &chan, OtConnectionCache *cache, bool reuse,
+                 const std::vector<Label> &m0,
+                 const std::vector<Label> &m1);
+
+/**
+ * The evaluator's mirror of sendOtBatch(): returns the label @p choices
+ * selects from each pair. @p cached is the garbler's announcement; it
+ * throws NetError when this connection has no ready receiver to reuse
+ * (a cached sender against a fresh receiver would deadlock).
+ */
+std::vector<Label> receiveOtBatch(ByteChannel &chan,
+                                  OtConnectionCache *cache, bool cached,
+                                  const std::vector<bool> &choices);
+
 struct RemoteOptions
 {
     /** Garbled tables per streamed segment frame (>= 1). */

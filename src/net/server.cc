@@ -497,7 +497,7 @@ GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
                            std::to_string(hdr.wires) +
                            " wires; this server admits at most " +
                            std::to_string(max_wires));
-        CircuitLintReport lints;
+        LintReport lints;
         nl = readBristolString(text, &lints);
         if (!lints.clean())
             throw NetError(

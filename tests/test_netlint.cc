@@ -57,10 +57,10 @@ tinyPlan()
 }
 
 uint32_t
-countCode(const CircuitLintReport &rep, CircuitLintCode code)
+countCode(const LintReport &rep, LintCode code)
 {
     uint32_t n = 0;
-    for (const CircuitDiag &d : rep.diags)
+    for (const Diag &d : rep.diags)
         n += d.code == code ? 1 : 0;
     return n;
 }
@@ -79,7 +79,8 @@ TEST(Netlint, CleanCircuitHasNoFindingsAndACostReport)
     // job); the *optimized* netlist is the analyzer-clean form.
     const Netlist nl = optimizeNetlist(cb.build());
 
-    const CircuitLintReport rep = analyzeNetlist(nl);
+    CircuitCost cost;
+    const LintReport rep = analyzeNetlist(nl, AnalyzeOptions{}, &cost);
     EXPECT_TRUE(rep.clean());
     EXPECT_EQ(rep.errors, 0u);
     EXPECT_EQ(rep.warnings, 0u);
@@ -87,15 +88,15 @@ TEST(Netlint, CleanCircuitHasNoFindingsAndACostReport)
     EXPECT_EQ(rep.summary(), "0 errors, 0 warnings");
     EXPECT_EQ(rep.firstError(), "");
 
-    EXPECT_EQ(rep.cost.gates, nl.numGates());
-    EXPECT_EQ(rep.cost.andGates, nl.numAndGates());
-    EXPECT_EQ(rep.cost.xorGates, nl.numGates() - nl.numAndGates());
-    EXPECT_GT(rep.cost.multDepth, 0u);
+    EXPECT_EQ(cost.gates, nl.numGates());
+    EXPECT_EQ(cost.andGates, nl.numAndGates());
+    EXPECT_EQ(cost.xorGates, nl.numGates() - nl.numAndGates());
+    EXPECT_GT(cost.multDepth, 0u);
     // A ripple adder's AND chain is its depth: one AND per carry.
-    EXPECT_LE(rep.cost.multDepth, rep.cost.andGates);
-    EXPECT_NEAR(rep.cost.freeXorPercent,
-                100.0 * double(rep.cost.xorGates) /
-                    double(rep.cost.gates),
+    EXPECT_LE(cost.multDepth, cost.andGates);
+    EXPECT_NEAR(cost.freeXorPercent,
+                100.0 * double(cost.xorGates) /
+                    double(cost.gates),
                 1e-9);
 }
 
@@ -103,11 +104,12 @@ TEST(Netlint, CircuitCostMatchesAnalyzeNetlist)
 {
     const Netlist nl = vipWorkload("Hamm", false).netlist;
     const CircuitCost cost = circuitCost(nl);
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_EQ(cost.gates, rep.cost.gates);
-    EXPECT_EQ(cost.andGates, rep.cost.andGates);
-    EXPECT_EQ(cost.multDepth, rep.cost.multDepth);
-    EXPECT_EQ(cost.freeXorPercent, rep.cost.freeXorPercent);
+    CircuitCost analyzed;
+    (void)analyzeNetlist(nl, AnalyzeOptions{}, &analyzed);
+    EXPECT_EQ(cost.gates, analyzed.gates);
+    EXPECT_EQ(cost.andGates, analyzed.andGates);
+    EXPECT_EQ(cost.multDepth, analyzed.multDepth);
+    EXPECT_EQ(cost.freeXorPercent, analyzed.freeXorPercent);
 }
 
 // ---------------------------------------------------------------------
@@ -124,15 +126,15 @@ TEST(Netlint, CanaryDeadGateIsCaught)
     cb.addOutput(live);
     const Netlist nl = cb.build();
 
-    const CircuitLintReport rep = analyzeNetlist(nl);
+    const LintReport rep = analyzeNetlist(nl);
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::DeadGate));
-    EXPECT_EQ(countCode(rep, CircuitLintCode::DeadGate), 1u);
+    EXPECT_TRUE(rep.has(LintCode::DeadGate));
+    EXPECT_EQ(countCode(rep, LintCode::DeadGate), 1u);
 
     // The optimizer drops it; the analyzer then has nothing to say —
     // the referee agrees with the pass it referees.
-    const CircuitLintReport after = analyzeNetlist(optimizeNetlist(nl));
-    EXPECT_FALSE(after.has(CircuitLintCode::DeadGate));
+    const LintReport after = analyzeNetlist(optimizeNetlist(nl));
+    EXPECT_FALSE(after.has(LintCode::DeadGate));
 }
 
 // ---------------------------------------------------------------------
@@ -143,9 +145,9 @@ TEST(Netlint, CanaryPlanPortWidthMismatchIsCaught)
 {
     chain::ChainPlan plan = tinyPlan();
     plan.sources[0].pop_back(); // 7 sources for an 8-bit ADD:4
-    const CircuitLintReport rep = analyzeChainPlan(plan);
+    const LintReport rep = analyzeChainPlan(plan);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::PortWidthMismatch));
+    EXPECT_TRUE(rep.has(LintCode::PortWidthMismatch));
     // ChainPlan::check() is the same analysis, first error only.
     EXPECT_EQ(plan.check(), rep.firstError());
     EXPECT_NE(plan.check(), "");
@@ -162,13 +164,14 @@ TEST(Netlint, CanaryCombinationalCycleIsCaught)
     Netlist nl = tinyXor();
     ASSERT_EQ(nl.numGates(), 1u);
     nl.gates[0].a = nl.outputWireOf(0); // gate 0 reads its own output
-    const CircuitLintReport rep = analyzeNetlist(nl);
+    CircuitCost cost;
+    const LintReport rep = analyzeNetlist(nl, AnalyzeOptions{}, &cost);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::UseBeforeDef));
+    EXPECT_TRUE(rep.has(LintCode::GateUseBeforeDef));
     EXPECT_NE(rep.firstError().find("combinational cycle"),
               std::string::npos);
     // Structural errors must suppress the dataflow cost report.
-    EXPECT_EQ(rep.cost.gates, 0u);
+    EXPECT_EQ(cost.gates, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -206,11 +209,11 @@ TEST(Netlint, CanaryDuplicatedLinkTweakIsCaught)
     std::vector<uint64_t> tweaks = chain::planLinkTweaks(plan);
     ASSERT_EQ(tweaks.size(), 4u);
     tweaks[2] = tweaks[0];
-    CircuitLintOptions opts;
+    AnalyzeOptions opts;
     opts.linkTweaks = &tweaks;
-    const CircuitLintReport rep = analyzeChainPlan(plan, opts);
+    const LintReport rep = analyzeChainPlan(plan, opts);
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::LinkTweakReuse));
+    EXPECT_TRUE(rep.has(LintCode::LinkTweakReuse));
     EXPECT_NE(rep.firstError().find("encryption domains"),
               std::string::npos);
 }
@@ -220,10 +223,10 @@ TEST(Netlint, OutOfDomainLinkTweakIsCaught)
     const chain::ChainPlan plan = twoNodePlan();
     std::vector<uint64_t> tweaks = chain::planLinkTweaks(plan);
     tweaks[1] = 0x1234; // outside the CLNK tag space
-    CircuitLintOptions opts;
+    AnalyzeOptions opts;
     opts.linkTweaks = &tweaks;
-    const CircuitLintReport rep = analyzeChainPlan(plan, opts);
-    EXPECT_TRUE(rep.has(CircuitLintCode::LinkTweakDomain));
+    const LintReport rep = analyzeChainPlan(plan, opts);
+    EXPECT_TRUE(rep.has(LintCode::LinkTweakDomain));
 }
 
 TEST(Netlint, PlanLinkTweaksAreTheCanonicalAssignment)
@@ -245,8 +248,8 @@ TEST(Netlint, WireOutOfRangeIsCaught)
 {
     Netlist nl = tinyXor();
     nl.gates[0].b = nl.numWires() + 7;
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::WireOutOfRange));
+    const LintReport rep = analyzeNetlist(nl);
+    EXPECT_TRUE(rep.has(LintCode::WireOutOfRange));
     EXPECT_FALSE(rep.clean());
 }
 
@@ -254,11 +257,11 @@ TEST(Netlint, DanglingOutputIsCaught)
 {
     Netlist nl = tinyXor();
     nl.outputs.push_back(nl.numWires() + 1);
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::DanglingOutput));
+    const LintReport rep = analyzeNetlist(nl);
+    EXPECT_TRUE(rep.has(LintCode::DanglingOutput));
     // The diag's site is the *output index*, not a gate index.
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::DanglingOutput)
+    for (const Diag &d : rep.diags)
+        if (d.code == LintCode::DanglingOutput)
             EXPECT_EQ(d.site, 1u);
 }
 
@@ -266,8 +269,8 @@ TEST(Netlint, MisplacedConstOneIsCaught)
 {
     Netlist nl = tinyXor();
     nl.constOne = 0; // canonical form requires it LAST among inputs
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::InputShape));
+    const LintReport rep = analyzeNetlist(nl);
+    EXPECT_TRUE(rep.has(LintCode::InputShape));
 }
 
 // ---------------------------------------------------------------------
@@ -281,11 +284,11 @@ TEST(Netlint, UnusedInputIsCaught)
     (void)cb.evaluatorInput(); // never read
     const Wire e2 = cb.evaluatorInput();
     cb.addOutput(cb.andGate(g, e2));
-    const CircuitLintReport rep = analyzeNetlist(cb.build());
+    const LintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::UnusedInput), 1u);
+    EXPECT_EQ(countCode(rep, LintCode::UnusedInput), 1u);
 
-    CircuitLintOptions quiet;
+    AnalyzeOptions quiet;
     quiet.warnings = false;
     EXPECT_TRUE(analyzeNetlist(cb.build(), quiet).diags.empty());
 }
@@ -299,9 +302,9 @@ TEST(Netlint, ConstantConeIsCaught)
     const Wire e = cb.evaluatorInput();
     const Wire zero = cb.xorGate(e, e);
     cb.addOutput(cb.xorGate(g, zero));
-    const CircuitLintReport rep = analyzeNetlist(cb.build());
+    const LintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::ConstantCone));
+    EXPECT_TRUE(rep.has(LintCode::ConstantCone));
 }
 
 TEST(Netlint, DuplicateGateMatchesOptimizerCriterion)
@@ -314,13 +317,13 @@ TEST(Netlint, DuplicateGateMatchesOptimizerCriterion)
     cb.addOutput(cb.xorGate(a1, a2));
     const Netlist nl = cb.build();
 
-    const CircuitLintReport rep = analyzeNetlist(nl);
-    EXPECT_TRUE(rep.has(CircuitLintCode::DuplicateGate));
+    const LintReport rep = analyzeNetlist(nl);
+    EXPECT_TRUE(rep.has(LintCode::DuplicateGate));
 
     // mergeDuplicateGates is the pass this warning mirrors: after it,
     // the warning is gone.
     EXPECT_FALSE(analyzeNetlist(mergeDuplicateGates(nl))
-                     .has(CircuitLintCode::DuplicateGate));
+                     .has(LintCode::DuplicateGate));
 }
 
 TEST(Netlint, InertOutputTaintPass)
@@ -333,11 +336,11 @@ TEST(Netlint, InertOutputTaintPass)
     const Wire e = cb.evaluatorInput();
     cb.addOutput(cb.andGate(g1, e));
     cb.addOutput(cb.andGate(g1, g2));
-    const CircuitLintReport rep = analyzeNetlist(cb.build());
+    const LintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::InertOutput), 1u);
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::InertOutput)
+    EXPECT_EQ(countCode(rep, LintCode::InertOutput), 1u);
+    for (const Diag &d : rep.diags)
+        if (d.code == LintCode::InertOutput)
             EXPECT_EQ(d.site, 1u);
 }
 
@@ -349,41 +352,26 @@ TEST(Netlint, InertOutputSuppressedWithoutEvaluatorInputs)
     const Wire g1 = cb.garblerInput();
     const Wire g2 = cb.garblerInput();
     cb.addOutput(cb.andGate(g1, g2));
-    const CircuitLintReport rep = analyzeNetlist(cb.build());
+    const LintReport rep = analyzeNetlist(cb.build());
     EXPECT_TRUE(rep.clean());
-    EXPECT_FALSE(rep.has(CircuitLintCode::InertOutput));
+    EXPECT_FALSE(rep.has(LintCode::InertOutput));
 }
 
 // ---------------------------------------------------------------------
 // Diagnostics plumbing
 // ---------------------------------------------------------------------
 
-TEST(Netlint, CodeNamesAreKebabCase)
+TEST(Netlint, FormatDiagIsCompilerStyle)
 {
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::UseBeforeDef),
-                 "use-before-def");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::LinkTweakReuse),
-                 "link-tweak-reuse");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::DeadGate),
-                 "dead-gate");
-    EXPECT_STREQ(circuitLintCodeName(CircuitLintCode::InertOutput),
-                 "inert-output");
-    EXPECT_STREQ(circuitSeverityName(CircuitSeverity::Error), "error");
-    EXPECT_STREQ(circuitSeverityName(CircuitSeverity::Warning),
-                 "warning");
-}
-
-TEST(Netlint, FormatCircuitDiagIsCompilerStyle)
-{
-    CircuitDiag d;
-    d.code = CircuitLintCode::UseBeforeDef;
-    d.severity = CircuitSeverity::Error;
+    Diag d;
+    d.code = LintCode::GateUseBeforeDef;
+    d.severity = Severity::Error;
     d.site = 12;
     d.message = "gate reads wire 99 before it is defined";
-    EXPECT_EQ(formatCircuitDiag(d, "adder.txt"),
+    EXPECT_EQ(formatDiag(d, "adder.txt"),
               "adder.txt: error[use-before-def]: gate reads wire 99 "
               "before it is defined (gate #12)");
-    EXPECT_EQ(formatCircuitDiag(d),
+    EXPECT_EQ(formatDiag(d),
               "error[use-before-def]: gate reads wire 99 before it is "
               "defined (gate #12)");
 }
@@ -393,10 +381,29 @@ TEST(Netlint, SummaryCountsFindings)
     Netlist nl = tinyXor();
     nl.gates[0].a = nl.outputWireOf(0);
     nl.outputs.push_back(nl.numWires() + 1);
-    const CircuitLintReport rep = analyzeNetlist(nl);
+    const LintReport rep = analyzeNetlist(nl);
     EXPECT_EQ(rep.errors, 2u);
     EXPECT_EQ(rep.summary(), "2 errors, 0 warnings");
     EXPECT_EQ(rep.firstError(), rep.diags[0].message);
+}
+
+TEST(Netlint, ReportFilterRecounts)
+{
+    LintReport rep;
+    rep.add({LintCode::DeadGate, Severity::Warning, 0, kNoWire, 0, "a"});
+    rep.add({LintCode::WireOutOfRange, Severity::Error, 1, 7, 0, "b"});
+    rep.add({LintCode::DeadGate, Severity::Warning, 2, kNoWire, 0, "c"});
+    rep.add({LintCode::InertOutput, Severity::Note, 0, kNoWire, 0, "d"});
+    EXPECT_EQ(rep.summary(), "1 error, 2 warnings, 1 note");
+    EXPECT_EQ(rep.filter([](const Diag &d) {
+                  return d.code != LintCode::DeadGate;
+              }),
+              2u);
+    EXPECT_EQ(rep.summary(), "1 error, 0 warnings, 1 note");
+    ASSERT_EQ(rep.diags.size(), 2u);
+    EXPECT_EQ(rep.diags[0].message, "b");
+    EXPECT_EQ(rep.firstError(), "b");
+    EXPECT_FALSE(rep.has(LintCode::DeadGate));
 }
 
 // ---------------------------------------------------------------------
@@ -414,14 +421,14 @@ TEST(Netlint, BristolReaderAttachesMultiplyDriven)
                              "2 1 0 1 3 XOR\n"
                              "2 1 1 0 3 XOR\n"
                              "1 1 3 4 INV\n";
-    CircuitLintReport rep;
+    LintReport rep;
     const Netlist nl = readBristolString(text, &rep);
     EXPECT_EQ(nl.check(), ""); // still canonical after rebinding
     EXPECT_FALSE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::MultiplyDriven));
+    EXPECT_TRUE(rep.has(LintCode::MultiplyDriven));
 }
 
-TEST(Netlint, BristolReaderAttachesCostOnCleanFiles)
+TEST(Netlint, BristolReaderCleanFileHasNoFindings)
 {
     const std::string text = "3 5\n"
                              "1 1 1\n"
@@ -429,11 +436,11 @@ TEST(Netlint, BristolReaderAttachesCostOnCleanFiles)
                              "2 1 0 1 2 AND\n"
                              "2 1 0 2 3 XOR\n"
                              "1 1 3 4 INV\n";
-    CircuitLintReport rep;
+    LintReport rep;
     const Netlist nl = readBristolString(text, &rep);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(rep.cost.gates, nl.numGates());
-    EXPECT_EQ(rep.cost.andGates, 1u);
+    EXPECT_TRUE(rep.diags.empty());
+    EXPECT_EQ(circuitCost(nl).andGates, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -449,8 +456,8 @@ TEST(Netlint, PlanCheckMessagesAreStable)
 
     chain::ChainPlan plan = tinyPlan();
     plan.sources[0][0] = chain::InputSource::garbler(99);
-    const CircuitLintReport rep = analyzeChainPlan(plan);
-    EXPECT_TRUE(rep.has(CircuitLintCode::PlanInputRange));
+    const LintReport rep = analyzeChainPlan(plan);
+    EXPECT_TRUE(rep.has(LintCode::PlanInputRange));
     EXPECT_EQ(plan.check(), rep.firstError());
 }
 
@@ -458,11 +465,11 @@ TEST(Netlint, PlanLinkOrderAndPortRangeAreCaught)
 {
     chain::ChainPlan fwd = tinyPlan();
     fwd.sources[0][0] = chain::InputSource::link(0, 0); // self-link
-    EXPECT_TRUE(analyzeChainPlan(fwd).has(CircuitLintCode::LinkOrder));
+    EXPECT_TRUE(analyzeChainPlan(fwd).has(LintCode::LinkOrder));
 
     chain::ChainPlan oob = twoNodePlan();
     oob.sources[1][0] = chain::InputSource::link(0, 99);
-    EXPECT_TRUE(analyzeChainPlan(oob).has(CircuitLintCode::PortRange));
+    EXPECT_TRUE(analyzeChainPlan(oob).has(LintCode::PortRange));
 }
 
 TEST(Netlint, DeadNodeIsCaught)
@@ -477,11 +484,11 @@ TEST(Netlint, DeadNodeIsCaught)
         s.push_back(chain::InputSource::evaluator(i));
     plan.sources.push_back(std::move(s));
 
-    const CircuitLintReport rep = analyzeChainPlan(plan);
+    const LintReport rep = analyzeChainPlan(plan);
     EXPECT_TRUE(rep.clean());
-    EXPECT_TRUE(rep.has(CircuitLintCode::DeadNode));
-    for (const CircuitDiag &d : rep.diags)
-        if (d.code == CircuitLintCode::DeadNode)
+    EXPECT_TRUE(rep.has(LintCode::DeadNode));
+    for (const Diag &d : rep.diags)
+        if (d.code == LintCode::DeadNode)
             EXPECT_EQ(d.site, 2u);
 }
 
@@ -489,19 +496,21 @@ TEST(Netlint, UnusedPlanInputIsCaught)
 {
     chain::ChainPlan plan = tinyPlan();
     plan.garblerInputs = 6; // bits 4 and 5 never sourced
-    const CircuitLintReport rep = analyzeChainPlan(plan);
+    const LintReport rep = analyzeChainPlan(plan);
     EXPECT_TRUE(rep.clean());
-    EXPECT_EQ(countCode(rep, CircuitLintCode::UnusedPlanInput), 2u);
+    EXPECT_EQ(countCode(rep, LintCode::UnusedPlanInput), 2u);
 }
 
 TEST(Netlint, ChainWorkloadsAreAnalyzerClean)
 {
     for (const std::string &spec : chain::chainWorkloadSpecs(8)) {
         const chain::ChainWorkload w = chain::resolveChainWorkload(spec);
-        const CircuitLintReport rep = analyzeChainPlan(w.plan);
+        CircuitCost cost;
+        const LintReport rep =
+            analyzeChainPlan(w.plan, AnalyzeOptions{}, &cost);
         EXPECT_TRUE(rep.clean()) << spec << ": " << rep.firstError();
         EXPECT_EQ(rep.warnings, 0u) << spec;
-        EXPECT_GT(rep.cost.gates, 0u) << spec;
+        EXPECT_GT(cost.gates, 0u) << spec;
     }
 }
 
@@ -522,17 +531,17 @@ TEST(Netlint, SessionCompileAttachesCost)
 
 TEST(Netlint, WorkloadFleetIsErrorFree)
 {
-    // The CLI gate (haac_netlint --all-workloads --Werror) enforces
+    // The CLI gate (haac_lint --all-workloads --Werror) enforces
     // warning-freedom modulo registry waivers; here we pin the hard
     // floor — no workload ships an analyzer *error* — plus the waiver
     // contract: only warning-severity codes may be waived.
     for (const std::string &name : vipNames()) {
         const Workload w = vipWorkload(name, false);
-        const CircuitLintReport rep =
+        const LintReport rep =
             analyzeNetlist(optimizeNetlist(w.netlist));
         EXPECT_TRUE(rep.clean()) << name << ": " << rep.firstError();
-        for (const CircuitDiag &d : rep.diags)
-            EXPECT_NE(d.severity, CircuitSeverity::Error) << name;
+        for (const Diag &d : rep.diags)
+            EXPECT_NE(d.severity, Severity::Error) << name;
     }
 }
 

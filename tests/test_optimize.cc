@@ -146,12 +146,12 @@ TEST(Optimize, RandomCircuitsPreserveSemantics)
         // duplicate criteria are the passes' own, so the fixpoint
         // must carry neither (constant cones may remain — the
         // optimizer deliberately does not constant-fold).
-        const CircuitLintReport rep = analyzeNetlist(opt);
+        const LintReport rep = analyzeNetlist(opt);
         EXPECT_TRUE(rep.clean()) << "seed " << seed << ": "
                                  << rep.firstError();
-        EXPECT_FALSE(rep.has(CircuitLintCode::DeadGate))
+        EXPECT_FALSE(rep.has(LintCode::DeadGate))
             << "seed " << seed;
-        EXPECT_FALSE(rep.has(CircuitLintCode::DuplicateGate))
+        EXPECT_FALSE(rep.has(LintCode::DuplicateGate))
             << "seed " << seed;
         for (int trial = 0; trial < 8; ++trial) {
             std::vector<bool> ga(6), eb(6);
@@ -192,13 +192,13 @@ TEST(Optimize, EachPassOutputIsAnalyzerClean)
         const Netlist dead = eliminateDeadGates(nl);
         EXPECT_TRUE(analyzeNetlist(dead).clean()) << "seed " << seed;
         EXPECT_FALSE(
-            analyzeNetlist(dead).has(CircuitLintCode::DeadGate))
+            analyzeNetlist(dead).has(LintCode::DeadGate))
             << "seed " << seed;
 
         const Netlist merged = mergeDuplicateGates(nl);
         EXPECT_TRUE(analyzeNetlist(merged).clean()) << "seed " << seed;
         EXPECT_FALSE(
-            analyzeNetlist(merged).has(CircuitLintCode::DuplicateGate))
+            analyzeNetlist(merged).has(LintCode::DuplicateGate))
             << "seed " << seed;
 
         // Each single pass still preserves semantics.

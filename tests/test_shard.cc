@@ -244,6 +244,23 @@ TEST(ShardProto, TruncatedFrameThrowsNotReadsGarbage)
     EXPECT_THROW(shard::frameTag({0x77}), NetError);
 }
 
+TEST(ShardProto, ZeroGeJobIsRefusedNotDivided)
+{
+    // A peer can put any config on the wire: a zero-GE job with a
+    // matching (empty) stream set must not reach the engine's queue
+    // split. The worker loop refuses it with a typed exception.
+    const HaacProgram prog = assemble(vipWorkload("Hamm", false).netlist);
+    shard::ShardJob job;
+    job.config.numGes = 0;
+    job.program = prog;
+    job.inputValues.assign(prog.numInputs, false);
+
+    auto [coordinator, worker] = LoopbackTransport::createPair();
+    coordinator->sendFrame(shard::encodeJob(job));
+    coordinator->sendFrame(shard::encodeRound({}));
+    EXPECT_THROW(shard::runShardWorkerLoop(*worker), SimConfigError);
+}
+
 // ---------------------------------------------------------------------
 // M=1 bit-parity with "haac-sim" (the acceptance gate)
 // ---------------------------------------------------------------------

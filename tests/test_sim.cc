@@ -365,5 +365,18 @@ TEST(Engine, BankContentionAppearsWithFewBanks)
     EXPECT_GT(sf.stallBank, sm.stallBank);
 }
 
+TEST(Engine, DegenerateConfigIsRefusedNotDivided)
+{
+    const HaacProgram prog = wideAnds(8);
+    HaacConfig cfg = testConfig();
+    cfg.banksPerGe = 0;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg = testConfig(0);
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg = testConfig();
+    cfg.swwBytes = kLabelBytes; // one wire: no half-window to slide by
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+}
+
 } // namespace
 } // namespace haac

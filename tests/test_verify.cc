@@ -11,7 +11,10 @@
 
 #include <dirent.h>
 
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compiler/passes.h"
@@ -27,20 +30,11 @@
 namespace haac {
 namespace {
 
-bool
-has(const LintReport &rep, LintCode code)
-{
-    for (const LintDiag &d : rep.diags)
-        if (d.code == code)
-            return true;
-    return false;
-}
-
 std::string
 dump(const LintReport &rep)
 {
     std::string s;
-    for (const LintDiag &d : rep.diags)
+    for (const Diag &d : rep.diags)
         s += formatDiag(d) + "\n";
     return s;
 }
@@ -109,7 +103,7 @@ TEST(Structural, SentinelOperand)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = kOorAddr;
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::SentinelOperand)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::SentinelOperand)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -121,12 +115,12 @@ TEST(Structural, UseBeforeDef)
     HaacProgram p = cleanProgram();
     p.instrs[0].a = p.outputAddrOf(0); // w4 = w4 ^ e0
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::UseBeforeDef)) << dump(rep);
 
     p = cleanProgram();
     p.instrs[0].b = p.outputAddrOf(2); // forward into instr 2's output
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::UseBeforeDef)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -138,13 +132,13 @@ TEST(Structural, NopOutputRead)
     p.instrs[0].b = p.instrs[0].a;
     // instr 1 reads w4, now a NOP output.
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::NopOutputRead)) << dump(rep);
 
     // ...and a program output naming one.
     p = cleanProgram();
     p.instrs[2].op = HaacOp::Nop; // w6, listed in outputs
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NopOutputRead)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::NopOutputRead)) << dump(rep);
 
     // A NOP nobody reads is fine (the corpus has one).
     p = cleanProgram();
@@ -162,7 +156,7 @@ TEST(Structural, TweakReuse)
     a2.op = HaacOp::And, a2.a = 4, a2.b = 5, a2.tweak = 0;
     p.instrs.push_back(a2);
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::TweakReuse)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::TweakReuse)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Distinct tweaks: clean.
@@ -175,7 +169,7 @@ TEST(Structural, InputSplit)
     HaacProgram p = cleanProgram();
     p.numGarblerInputs = 3; // 3 + 1 > 3 total
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::InputSplit)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::InputSplit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -185,19 +179,19 @@ TEST(Structural, ConstOne)
     HaacProgram p = cleanProgram();
     p.constOneAddr = kOorAddr;
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ConstOne)) << dump(rep);
 
     // Declared without a slot.
     p = cleanProgram();
     p.numEvaluatorInputs = 2;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ConstOne)) << dump(rep);
 
     // Declared at the wrong address.
     p = cleanProgram();
     p.constOneAddr = 1;
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::ConstOne)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ConstOne)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -206,12 +200,12 @@ TEST(Structural, UndefinedOutput)
     HaacProgram p = cleanProgram();
     p.outputs.push_back(p.numAddrs()); // one past the last wire
     LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::UndefinedOutput)) << dump(rep);
 
     p = cleanProgram();
     p.outputs.push_back(kOorAddr);
     rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::UndefinedOutput)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::UndefinedOutput)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -220,7 +214,7 @@ TEST(Structural, NoncanonicalOperandWarning)
     HaacProgram p = cleanProgram();
     p.instrs[2].b = 1; // NOT with b != a
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::NoncanonicalOperand)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::NoncanonicalOperand)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "must stay a warning";
     EXPECT_EQ(rep.warnings, 1u);
 
@@ -234,7 +228,7 @@ TEST(Structural, StrayTweakWarning)
     HaacProgram p = cleanProgram();
     p.instrs[0].tweak = 7; // XOR carrying a tweak
     const LintReport rep = verifyProgram(p);
-    EXPECT_TRUE(has(rep, LintCode::StrayTweak)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::StrayTweak)) << dump(rep);
     EXPECT_TRUE(rep.clean());
 }
 
@@ -249,7 +243,7 @@ TEST(Window, DroppedLiveBit)
     // until re-marked.
     p.instrs[80].b = 3;
     LintReport rep = verifyProgram(p, LintOptions{sww});
-    ASSERT_TRUE(has(rep, LintCode::DroppedLiveBit)) << dump(rep);
+    ASSERT_TRUE(rep.has(LintCode::DroppedLiveBit)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 
     // Re-running ESW (what the compiler does) repairs it.
@@ -269,7 +263,7 @@ TEST(Window, OutputNotLive)
     HaacProgram p = chainProgram(100, sww);
     p.instrs.back().live = false; // the output's producer
     const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, LintCode::OutputNotLive)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::OutputNotLive)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -279,17 +273,18 @@ TEST(Window, LivenessWasteWarningQuantifiesBytes)
     HaacProgram p = chainProgram(100, sww);
     p.instrs[10].live = true; // nobody reads w13 off-window
     p.instrs[11].live = true;
-    const LintReport rep = verifyProgram(p, LintOptions{sww});
-    EXPECT_TRUE(has(rep, LintCode::LivenessWaste)) << dump(rep);
+    uint64_t waste = 0;
+    const LintReport rep = verifyProgram(p, LintOptions{sww}, &waste);
+    EXPECT_TRUE(rep.has(LintCode::LivenessWaste)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "waste is a warning, not an error";
-    EXPECT_EQ(rep.wasteBytes, 2 * kLabelBytes);
+    EXPECT_EQ(waste, 2 * kLabelBytes);
 
     // The all-live (no-ESW) configuration is legal but wasteful:
     // every wire except those genuinely read off-window or output.
     clearEsw(p);
-    const LintReport all = verifyProgram(p, LintOptions{sww});
+    const LintReport all = verifyProgram(p, LintOptions{sww}, &waste);
     EXPECT_TRUE(all.clean());
-    EXPECT_GT(all.wasteBytes, 90 * kLabelBytes);
+    EXPECT_GT(waste, 90 * kLabelBytes);
 }
 
 // --- stream consistency --------------------------------------------
@@ -324,7 +319,7 @@ TEST(Streams, CoverageCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, LintCode::StreamCoverage)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::StreamCoverage)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -339,7 +334,7 @@ TEST(Streams, TableCountCorruptionIsCaught)
     opts.swwWires = cfg.swwWires();
     opts.streams = &set;
     const LintReport rep = verifyProgram(p, opts);
-    EXPECT_TRUE(has(rep, LintCode::StreamTableCount)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::StreamTableCount)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -391,18 +386,18 @@ TEST(Shards, MalformedManifest)
     // Wrong shardOfInstr arity.
     TinyShardCase c;
     c.man.shardOfInstr = {0};
-    EXPECT_TRUE(has(c.verify(), LintCode::ShardManifestBad));
+    EXPECT_TRUE(c.verify().has(LintCode::ShardManifestBad));
 
     // Exporting a primary input.
     c = TinyShardCase();
     c.man.exports[0].insert(c.man.exports[0].begin(), 1u);
-    EXPECT_TRUE(has(c.verify(), LintCode::ShardManifestBad));
+    EXPECT_TRUE(c.verify().has(LintCode::ShardManifestBad));
 
     // Exporting a wire the shard does not own.
     c = TinyShardCase();
     c.man.exports[1] = {3}; // w3 belongs to shard 0
     LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardManifestBad)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardManifestBad)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -411,7 +406,7 @@ TEST(Shards, ImportMissing)
     TinyShardCase c;
     c.man.imports[1].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardImportMissing)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardImportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -420,7 +415,7 @@ TEST(Shards, ExportMissing)
     TinyShardCase c;
     c.man.exports[0].clear();
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardExportMissing)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardExportMissing)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -429,7 +424,7 @@ TEST(Shards, ExportDead)
     TinyShardCase c;
     c.prog.instrs[0].live = false; // exported but never spilled
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardExportDead)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardExportDead)) << dump(rep);
     EXPECT_FALSE(rep.clean());
 }
 
@@ -438,8 +433,8 @@ TEST(Shards, UnusedImportAndExportWarn)
     TinyShardCase c;
     c.prog.instrs[1].a = 1; // no cross-shard read remains
     const LintReport rep = c.verify();
-    EXPECT_TRUE(has(rep, LintCode::ShardImportUnused)) << dump(rep);
-    EXPECT_TRUE(has(rep, LintCode::ShardExportUnused)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardImportUnused)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::ShardExportUnused)) << dump(rep);
     EXPECT_TRUE(rep.clean()) << "manifest slack is a warning";
 }
 
@@ -502,7 +497,7 @@ TEST(Canary, InjectedOorwReorderIsCaughtStatically)
         lo.swwWires = cfg.swwWires();
         lo.streams = &streams;
         const LintReport rep = verifyProgram(prog, lo);
-        ASSERT_TRUE(has(rep, LintCode::StreamOorMismatch))
+        ASSERT_TRUE(rep.has(LintCode::StreamOorMismatch))
             << "seed " << seed << ": static check missed the "
             << "corrupted pop order\n"
             << dump(rep);
@@ -534,7 +529,7 @@ TEST(Canary, InjectedLiveBitClearIsCaughtStatically)
         prog.instrs[victim - prog.numInputs - 1].live = false;
         const LintReport rep =
             verifyProgram(prog, LintOptions{cfg.swwWires()});
-        ASSERT_TRUE(has(rep, LintCode::DroppedLiveBit))
+        ASSERT_TRUE(rep.has(LintCode::DroppedLiveBit))
             << "seed " << seed << ": static check missed the "
             << "dropped spill\n"
             << dump(rep);
@@ -551,7 +546,7 @@ TEST(Canary, InjectedUseBeforeDefIsCaughtStatically)
     ASSERT_GE(prog.instrs.size(), 2u);
     prog.instrs[0].a = prog.outputAddrOf(1); // forward reference
     const LintReport rep = verifyProgram(prog);
-    EXPECT_TRUE(has(rep, LintCode::UseBeforeDef)) << dump(rep);
+    EXPECT_TRUE(rep.has(LintCode::UseBeforeDef)) << dump(rep);
 }
 
 TEST(Canary, InjectedTweakReuseIsCaughtStatically)
@@ -569,7 +564,7 @@ TEST(Canary, InjectedTweakReuseIsCaughtStatically)
             continue;
         prog.instrs[ands[1]].tweak = prog.instrs[ands[0]].tweak;
         const LintReport rep = verifyProgram(prog);
-        ASSERT_TRUE(has(rep, LintCode::TweakReuse)) << dump(rep);
+        ASSERT_TRUE(rep.has(LintCode::TweakReuse)) << dump(rep);
         return;
     }
     FAIL() << "no generated program had two AND instructions";
@@ -598,7 +593,7 @@ TEST(Canary, InjectedNopOutputReadIsCaughtStatically)
             prog.instrs[k].b = prog.instrs[k].a;
             prog.instrs[k].tweak = 0;
             const LintReport rep = verifyProgram(prog);
-            ASSERT_TRUE(has(rep, LintCode::NopOutputRead))
+            ASSERT_TRUE(rep.has(LintCode::NopOutputRead))
                 << dump(rep);
             return;
         }
@@ -646,7 +641,7 @@ TEST(ParseLint, FindingsCarrySourceLines)
     EXPECT_EQ(r.instrLines[3], 5u);
 
     bool sawTweak = false, sawNop = false;
-    for (const LintDiag &d : r.lints) {
+    for (const Diag &d : r.lints) {
         if (d.code == LintCode::TweakReuse) {
             sawTweak = true;
             EXPECT_EQ(d.line, 5u) << formatDiag(d);
@@ -663,6 +658,39 @@ TEST(ParseLint, FindingsCarrySourceLines)
         formatDiag(r.lints.front(), "case.haac");
     EXPECT_NE(line.find("case.haac:"), std::string::npos) << line;
     EXPECT_NE(line.find("error["), std::string::npos) << line;
+}
+
+TEST(ParseLint, FormatGoldens)
+{
+    // The three ISA line shapes, byte for byte: "file:line:" when the
+    // caller names the file and the finding has a source line,
+    // "line N:" when only the line is known, and the
+    // "(instruction #k)" suffix when no line is known.
+    const AsmResult r = parseAsm(".inputs 2 garbler=1 evaluator=1\n"
+                                 "AND w1, w2\n"
+                                 "AND w1, w3 (tweak 0)\n"
+                                 ".outputs w4\n");
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.lints.size(), 1u);
+    const auto &d = r.lints.front();
+    const std::string reuse =
+        "error[tweak-reuse]: AND tweak 0 already used by instruction "
+        "#0 — reuse collapses the correlation-robust hash tweak domain "
+        "(security error)";
+    EXPECT_EQ(formatDiag(d, "case.haac"), "case.haac:3: " + reuse);
+    EXPECT_EQ(formatDiag(d), "line 3: " + reuse);
+
+    HaacProgram p = cleanProgram();
+    p.instrs[1].b = kOorAddr;
+    const LintReport rep = verifyProgram(p);
+    ASSERT_FALSE(rep.diags.empty());
+    const std::string sentinel =
+        "error[sentinel-operand]: operand b is the reserved OoRW "
+        "sentinel w0 (the stream generator owns that rewrite) "
+        "(instruction #1)";
+    EXPECT_EQ(formatDiag(rep.diags.front(), "prog.haac"),
+              "prog.haac: " + sentinel);
+    EXPECT_EQ(formatDiag(rep.diags.front()), sentinel);
 }
 
 TEST(ParseLint, CleanSourceHasNoLints)
@@ -745,48 +773,67 @@ TEST(Fleet, CompilerVerifyFlagAcceptsItsOwnOutput)
 
 // --- code-name stability -------------------------------------------
 
-TEST(Naming, CodeNamesAreStableAndKebabCase)
+TEST(Naming, EveryCodeKeepsItsKebabName)
 {
     // These strings are documentation (docs/ARCHITECTURE.md), CLI
     // output, and CI grep targets. Renaming one is a breaking change.
-    EXPECT_STREQ(lintCodeName(LintCode::SentinelOperand),
-                 "sentinel-operand");
-    EXPECT_STREQ(lintCodeName(LintCode::UseBeforeDef),
-                 "use-before-def");
-    EXPECT_STREQ(lintCodeName(LintCode::NopOutputRead),
-                 "nop-output-read");
-    EXPECT_STREQ(lintCodeName(LintCode::TweakReuse), "tweak-reuse");
-    EXPECT_STREQ(lintCodeName(LintCode::InputSplit), "input-split");
-    EXPECT_STREQ(lintCodeName(LintCode::ConstOne), "const-one");
-    EXPECT_STREQ(lintCodeName(LintCode::UndefinedOutput),
-                 "undefined-output");
-    EXPECT_STREQ(lintCodeName(LintCode::OutputNotLive),
-                 "output-not-live");
-    EXPECT_STREQ(lintCodeName(LintCode::DroppedLiveBit),
-                 "dropped-live-bit");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamCoverage),
-                 "stream-coverage");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamOorMismatch),
-                 "stream-oor-mismatch");
-    EXPECT_STREQ(lintCodeName(LintCode::StreamTableCount),
-                 "stream-table-count");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardManifestBad),
-                 "shard-manifest");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardImportMissing),
-                 "shard-import-missing");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportMissing),
-                 "shard-export-missing");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportDead),
-                 "shard-export-dead");
-    EXPECT_STREQ(lintCodeName(LintCode::LivenessWaste),
-                 "liveness-waste");
-    EXPECT_STREQ(lintCodeName(LintCode::NoncanonicalOperand),
-                 "noncanonical-operand");
-    EXPECT_STREQ(lintCodeName(LintCode::StrayTweak), "stray-tweak");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardImportUnused),
-                 "shard-import-unused");
-    EXPECT_STREQ(lintCodeName(LintCode::ShardExportUnused),
-                 "shard-export-unused");
+    const std::pair<LintCode, const char *> codes[] = {
+        {LintCode::SentinelOperand, "sentinel-operand"},
+        {LintCode::UseBeforeDef, "use-before-def"},
+        {LintCode::NopOutputRead, "nop-output-read"},
+        {LintCode::TweakReuse, "tweak-reuse"},
+        {LintCode::InputSplit, "input-split"},
+        {LintCode::ConstOne, "const-one"},
+        {LintCode::UndefinedOutput, "undefined-output"},
+        {LintCode::OutputNotLive, "output-not-live"},
+        {LintCode::DroppedLiveBit, "dropped-live-bit"},
+        {LintCode::StreamCoverage, "stream-coverage"},
+        {LintCode::StreamOorMismatch, "stream-oor-mismatch"},
+        {LintCode::StreamTableCount, "stream-table-count"},
+        {LintCode::ShardManifestBad, "shard-manifest"},
+        {LintCode::ShardImportMissing, "shard-import-missing"},
+        {LintCode::ShardExportMissing, "shard-export-missing"},
+        {LintCode::ShardExportDead, "shard-export-dead"},
+        {LintCode::LivenessWaste, "liveness-waste"},
+        {LintCode::NoncanonicalOperand, "noncanonical-operand"},
+        {LintCode::StrayTweak, "stray-tweak"},
+        {LintCode::ShardImportUnused, "shard-import-unused"},
+        {LintCode::ShardExportUnused, "shard-export-unused"},
+        {LintCode::GateUseBeforeDef, "use-before-def"},
+        {LintCode::WireOutOfRange, "wire-out-of-range"},
+        {LintCode::MultiplyDriven, "multiply-driven"},
+        {LintCode::DanglingOutput, "dangling-output"},
+        {LintCode::InputShape, "input-shape"},
+        {LintCode::PlanShape, "plan-shape"},
+        {LintCode::PortWidthMismatch, "port-width-mismatch"},
+        {LintCode::PlanInputRange, "plan-input-range"},
+        {LintCode::LinkOrder, "link-order"},
+        {LintCode::PortRange, "port-range"},
+        {LintCode::LinkTweakReuse, "link-tweak-reuse"},
+        {LintCode::LinkTweakDomain, "link-tweak-domain"},
+        {LintCode::DeadGate, "dead-gate"},
+        {LintCode::UnusedInput, "unused-input"},
+        {LintCode::ConstantCone, "constant-cone"},
+        {LintCode::DuplicateGate, "duplicate-gate"},
+        {LintCode::InertOutput, "inert-output"},
+        {LintCode::DeadNode, "dead-node"},
+        {LintCode::UnusedPlanInput, "unused-plan-input"},
+    };
+    std::set<std::string> names;
+    for (const auto &[code, name] : codes) {
+        EXPECT_STREQ(lintCodeName(code), name);
+        names.insert(name);
+    }
+    // 40 codes, 39 spellings: use-before-def exists at both layers.
+    EXPECT_EQ(std::size(codes), 40u);
+    EXPECT_EQ(names.size(), 39u);
+    for (const std::string &n : names)
+        for (const char c : n)
+            EXPECT_TRUE((c >= 'a' && c <= 'z') || c == '-') << n;
+
+    EXPECT_STREQ(severityName(Severity::Error), "error");
+    EXPECT_STREQ(severityName(Severity::Warning), "warning");
+    EXPECT_STREQ(severityName(Severity::Note), "note");
 }
 
 } // namespace

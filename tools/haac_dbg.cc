@@ -418,13 +418,13 @@ class Debugger : public SimProbe
         opts.streams = &streams_;
         if (!instrLines_.empty())
             opts.instrLines = &instrLines_;
-        const LintReport rep = verifyProgram(prog_, opts);
-        for (const LintDiag &d : rep.diags)
+        uint64_t waste = 0;
+        const LintReport rep = verifyProgram(prog_, opts, &waste);
+        for (const Diag &d : rep.diags)
             std::cout << "  " << formatDiag(d, srcName_) << "\n";
         std::cout << "  lint: " << rep.summary();
-        if (rep.wasteBytes > 0)
-            std::cout << " (" << rep.wasteBytes
-                      << " avoidable DRAM bytes)";
+        if (waste > 0)
+            std::cout << " (" << waste << " avoidable DRAM bytes)";
         std::cout << "\n";
     }
 
