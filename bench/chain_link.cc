@@ -75,18 +75,12 @@ runE2e(const ChainWorkload &wl, const Netlist &mono, uint32_t sessions,
         std::thread garbler([&, g = g_end.get()] {
             try {
                 g->handshake(PeerRole::Garbler);
-                if (chained) {
-                    const ChainResult res = runChainGarbler(
-                        wl.plan, wl.garblerBits, *g, pool->provider(),
-                        {});
-                    r.report =
-                        makeChainReport(res, Role::Garbler, *g);
-                } else {
-                    const RemoteResult res = runRemoteGarbler(
-                        mono, wl.garblerBits, *g, 0xB5EED + s, {});
-                    r.report =
-                        makeRemoteReport(res, Role::Garbler, *g);
-                }
+                const RemoteResult res =
+                    chained ? runChainGarbler(wl.plan, wl.garblerBits, *g,
+                                              pool->provider(), {})
+                            : runRemoteGarbler(mono, wl.garblerBits, *g,
+                                               0xB5EED + s, {});
+                r.report = makeRemoteReport(res, Role::Garbler, *g);
             } catch (...) {
                 g_error = std::current_exception();
             }

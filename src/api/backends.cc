@@ -218,40 +218,29 @@ RemoteGcBackend::execute(const Session &session)
 
     // A session carrying a chain plan runs the chained protocol
     // instead of garbling/evaluating its (monolithic) netlist.
-    if (const chain::ChainPlan *plan = session.chainPlan()) {
-        chain::ChainResult result;
-        if (role == Role::Garbler) {
-            std::vector<bool> bits = session.garblerBits();
-            if (bits.empty())
-                bits.resize(plan->garblerInputs, false);
-            result = chain::runChainGarbler(*plan, bits, *transport,
-                                            session.seed(), ropts);
-        } else {
-            std::vector<bool> bits = session.evaluatorBits();
-            if (bits.empty())
-                bits.resize(plan->evaluatorInputs, false);
-            result = chain::runChainEvaluator(*plan, bits, *transport,
-                                              ropts);
-        }
-        RunReport report = makeChainReport(result, role, *transport);
-        report.config = session.config();
-        report.mode = session.mode();
-        return report;
-    }
-
+    const chain::ChainPlan *plan = session.chainPlan();
     const Netlist &netlist = session.netlist();
     RemoteResult result;
     if (role == Role::Garbler) {
         std::vector<bool> bits = session.garblerBits();
         if (bits.empty())
-            bits.resize(netlist.numGarblerInputs, false);
-        result = runRemoteGarbler(netlist, bits, *transport,
-                                  session.seed(), ropts);
+            bits.resize(plan ? plan->garblerInputs
+                             : netlist.numGarblerInputs,
+                        false);
+        result = plan ? chain::runChainGarbler(*plan, bits, *transport,
+                                               session.seed(), ropts)
+                      : runRemoteGarbler(netlist, bits, *transport,
+                                         session.seed(), ropts);
     } else {
         std::vector<bool> bits = session.evaluatorBits();
         if (bits.empty())
-            bits.resize(netlist.numEvaluatorInputs, false);
-        result = runRemoteEvaluator(netlist, bits, *transport, ropts);
+            bits.resize(plan ? plan->evaluatorInputs
+                             : netlist.numEvaluatorInputs,
+                        false);
+        result = plan ? chain::runChainEvaluator(*plan, bits, *transport,
+                                                 ropts)
+                      : runRemoteEvaluator(netlist, bits, *transport,
+                                           ropts);
     }
 
     RunReport report = makeRemoteReport(result, role, *transport);

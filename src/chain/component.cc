@@ -71,38 +71,52 @@ ComponentSpec::outputBits() const
     return kind == ComponentKind::Cmp ? 1 : width;
 }
 
+bool
+splitSizedSpec(const std::string &spec, std::string &name, uint32_t &n,
+               uint32_t max_n)
+{
+    const size_t colon = spec.find(':');
+    if (colon == std::string::npos)
+        return false;
+    const std::string tail = spec.substr(colon + 1);
+    uint64_t v = 0;
+    for (char ch : tail) {
+        // A leading zero would spell a second name for one circuit.
+        if (ch < '0' || ch > '9' || v > max_n || (v == 0 && ch == '0')) {
+            v = 0;
+            break;
+        }
+        v = v * 10 + uint64_t(ch - '0');
+    }
+    if (v == 0 || v > max_n)
+        throw std::invalid_argument(
+            "spec \"" + spec + "\": size \"" + tail +
+            "\" is not an integer in [1, " + std::to_string(max_n) + "]");
+    name = spec.substr(0, colon);
+    n = uint32_t(v);
+    return true;
+}
+
 ComponentSpec
 parseComponentSpec(const std::string &name)
 {
-    const size_t colon = name.find(':');
-    if (colon == std::string::npos)
+    std::string kind_str;
+    ComponentSpec spec;
+    if (!splitSizedSpec(name, kind_str, spec.width, kMaxComponentWidth))
         throw std::invalid_argument("component spec \"" + name +
                                     "\": expected KIND:WIDTH");
-    const std::string kind_str = name.substr(0, colon);
-    ComponentSpec spec;
-    if (kind_str == "ADD")
-        spec.kind = ComponentKind::Add;
-    else if (kind_str == "SUB")
-        spec.kind = ComponentKind::Sub;
-    else if (kind_str == "CMP")
-        spec.kind = ComponentKind::Cmp;
-    else if (kind_str == "MUX")
-        spec.kind = ComponentKind::Mux;
-    else if (kind_str == "XOR")
-        spec.kind = ComponentKind::Xor;
-    else if (kind_str == "MUL")
-        spec.kind = ComponentKind::Mul;
-    else
+    bool known = false;
+    for (ComponentKind kind :
+         {ComponentKind::Add, ComponentKind::Sub, ComponentKind::Cmp,
+          ComponentKind::Mux, ComponentKind::Xor, ComponentKind::Mul})
+        if (kind_str == componentKindName(kind)) {
+            spec.kind = kind;
+            known = true;
+        }
+    if (!known)
         throw std::invalid_argument("component spec \"" + name +
                                     "\": unknown kind \"" + kind_str +
                                     "\"");
-    char *end = nullptr;
-    const std::string tail = name.substr(colon + 1);
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (tail.empty() || end == nullptr || *end != '\0')
-        throw std::invalid_argument("component spec \"" + name +
-                                    "\": bad width \"" + tail + "\"");
-    spec.width = uint32_t(v);
     const std::string err = spec.check();
     if (!err.empty())
         throw std::invalid_argument(err);

@@ -87,6 +87,22 @@ struct ComponentSpec
 };
 
 /**
+ * The one "Name:N" parser behind every sized spec string: server
+ * workload specs ("Mult:8"), chain workload specs ("ChainProdCmp:32")
+ * and component specs ("MUL:32"). Splits @p spec at its first colon
+ * into @p name and @p n; N must be plain decimal digits, without a
+ * leading zero, naming a value in [1, @p max_n] — so no sign, blank,
+ * leading zero or wrap at 2^32 can make two strings name one circuit.
+ *
+ * @return false, leaving @p name and @p n untouched, when @p spec has
+ *         no colon.
+ * @throws std::invalid_argument for a missing, malformed or
+ *         out-of-range N.
+ */
+bool splitSizedSpec(const std::string &spec, std::string &name,
+                    uint32_t &n, uint32_t max_n);
+
+/**
  * Parse a canonical spec string ("CMP:64").
  *
  * @throws std::invalid_argument on unknown kind, missing or

@@ -106,12 +106,6 @@ fnv1a(uint64_t &h, uint64_t v)
     }
 }
 
-uint32_t
-clampSegment(uint32_t segment_tables)
-{
-    return segment_tables > 0 ? segment_tables : 1;
-}
-
 void
 requireValidPlan(const ChainPlan &plan, const char *who)
 {
@@ -363,7 +357,7 @@ freshComponentProvider(uint64_t seed_base)
     };
 }
 
-ChainResult
+RemoteResult
 runChainGarbler(const ChainPlan &plan,
                 const std::vector<bool> &garbler_bits,
                 Transport &transport, const ComponentProvider &provider,
@@ -375,9 +369,9 @@ runChainGarbler(const ChainPlan &plan,
             "runChainGarbler: wrong garbler input count");
 
     const auto start = Clock::now();
-    const uint32_t segment_tables = clampSegment(opts.segmentTables);
+    const uint32_t segment_tables = opts.segment();
 
-    ChainResult res;
+    RemoteResult res;
     res.components = uint32_t(plan.nodes.size());
     res.links = plan.numLinks();
     res.segmentTables = segment_tables;
@@ -545,7 +539,7 @@ runChainGarbler(const ChainPlan &plan,
     return res;
 }
 
-ChainResult
+RemoteResult
 runChainGarbler(const ChainPlan &plan,
                 const std::vector<bool> &garbler_bits,
                 Transport &transport, uint64_t seed_base,
@@ -555,7 +549,7 @@ runChainGarbler(const ChainPlan &plan,
                            freshComponentProvider(seed_base), opts);
 }
 
-ChainResult
+RemoteResult
 runChainEvaluator(const ChainPlan &plan,
                   const std::vector<bool> &evaluator_bits,
                   Transport &transport, const RemoteOptions &opts)
@@ -566,7 +560,7 @@ runChainEvaluator(const ChainPlan &plan,
             "runChainEvaluator: wrong evaluator input count");
 
     const auto start = Clock::now();
-    ChainResult res;
+    RemoteResult res;
     res.components = uint32_t(plan.nodes.size());
     res.links = plan.numLinks();
 
@@ -577,9 +571,7 @@ runChainEvaluator(const ChainPlan &plan,
         res.gates += nls.back().numGates();
     }
 
-    NetChannel chan(transport,
-                    size_t(clampSegment(opts.segmentTables)) *
-                        kTableBytes);
+    NetChannel chan(transport, size_t(opts.segment()) * kTableBytes);
 
     std::vector<uint8_t> fp_bytes(ChainFingerprint::kBytes);
     chan.recvBytes(fp_bytes.data(), fp_bytes.size());

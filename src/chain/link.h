@@ -26,9 +26,10 @@
  * garbler/constant ports, then per node a link-table frame
  * (net/wire.h's kLinkTableFrameKind) followed by the component's AND
  * tables through the existing segment framing, finally decode bits
- * and the result echo. Byte accounting is category-exact on both
- * sides, with linkBytes as a new category alongside the four from
- * RemoteResult.
+ * and the result echo. Both return the same RemoteResult as a
+ * monolithic session, with its chain counters filled: byte accounting
+ * is category-exact on both sides, linkBytes being the one category
+ * a monolithic session never has.
  *
  * Security: each GarbledComponent must be linked into at most one
  * session (the provider contract); the translation rows of a reused
@@ -250,64 +251,29 @@ using ComponentProvider =
  */
 ComponentProvider freshComponentProvider(uint64_t seed_base = 0);
 
-/** One party's view of a completed chained execution. */
-struct ChainResult
-{
-    std::vector<bool> outputs;
-
-    /** @name Garbler->evaluator payload, category-exact both sides. */
-    /// @{
-    uint64_t tableBytes = 0;
-    uint64_t inputLabelBytes = 0;
-    uint64_t otBytes = 0;
-    /** Link-table stream frames: headers + translation tables. */
-    uint64_t linkBytes = 0;
-    uint64_t outputDecodeBytes = 0;
-    uint64_t totalBytes = 0;
-    /// @}
-
-    /** Evaluator->garbler IKNP traffic. */
-    uint64_t otUplinkBytes = 0;
-    /** Fingerprint + result echo. */
-    uint64_t controlBytes = 0;
-
-    uint64_t tableSegments = 0;
-    uint32_t segmentTables = 0;
-    /** Frames the link-table stream used (one per linked node). */
-    uint32_t linkFrames = 0;
-
-    uint32_t components = 0; ///< nodes linked
-    uint32_t links = 0;      ///< translation tables shipped
-    /** Components served pre-garbled (provider said pooled). */
-    uint32_t pooledComponents = 0;
-    uint64_t gates = 0;      ///< total gates across components
-    bool otSetupReused = false;
-    double seconds = 0;
-};
-
 /**
  * Garbler side of the chained protocol over an established
  * (handshaken) transport. Components come from @p provider.
  *
  * @param garbler_bits this party's plan inputs (size garblerInputs).
  */
-ChainResult runChainGarbler(const ChainPlan &plan,
-                            const std::vector<bool> &garbler_bits,
-                            Transport &transport,
-                            const ComponentProvider &provider,
-                            const RemoteOptions &opts = {});
+RemoteResult runChainGarbler(const ChainPlan &plan,
+                             const std::vector<bool> &garbler_bits,
+                             Transport &transport,
+                             const ComponentProvider &provider,
+                             const RemoteOptions &opts = {});
 
 /** Convenience overload: fresh components from seed_base + node. */
-ChainResult runChainGarbler(const ChainPlan &plan,
-                            const std::vector<bool> &garbler_bits,
-                            Transport &transport, uint64_t seed_base,
-                            const RemoteOptions &opts = {});
+RemoteResult runChainGarbler(const ChainPlan &plan,
+                             const std::vector<bool> &garbler_bits,
+                             Transport &transport, uint64_t seed_base,
+                             const RemoteOptions &opts = {});
 
 /** Evaluator side; both parties hold the (public) plan. */
-ChainResult runChainEvaluator(const ChainPlan &plan,
-                              const std::vector<bool> &evaluator_bits,
-                              Transport &transport,
-                              const RemoteOptions &opts = {});
+RemoteResult runChainEvaluator(const ChainPlan &plan,
+                               const std::vector<bool> &evaluator_bits,
+                               Transport &transport,
+                               const RemoteOptions &opts = {});
 
 } // namespace chain
 } // namespace haac

@@ -1,6 +1,5 @@
 #include "chain/workloads.h"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "crypto/prg.h"
@@ -231,18 +230,11 @@ isChainSpec(const std::string &spec)
 ChainWorkload
 resolveChainWorkload(const std::string &spec)
 {
-    const size_t colon = spec.find(':');
-    if (colon == std::string::npos)
+    std::string name;
+    uint32_t w = 0;
+    if (!splitSizedSpec(spec, name, w, kMaxComponentWidth))
         throw std::invalid_argument("chain workload spec \"" + spec +
                                     "\": expected Name:WIDTH");
-    const std::string name = spec.substr(0, colon);
-    const std::string tail = spec.substr(colon + 1);
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (tail.empty() || end == nullptr || *end != '\0' || v == 0)
-        throw std::invalid_argument("chain workload spec \"" + spec +
-                                    "\": bad width \"" + tail + "\"");
-    const uint32_t w = uint32_t(v);
 
     ChainWorkload wl;
     if (name == "ChainMillSum") {

@@ -7,8 +7,9 @@
  * of standard components, used by tests/test_chain.cc for
  * chained-vs-monolithic parity and by bench/chain_link and the
  * serving layer as request specs. Spec strings follow the server's
- * "Name:arg" convention ("ChainMillSum:32"); isChainSpec() is how
- * serveSession routes a request into the chained path.
+ * "Name:arg" convention ("ChainMillSum:32", parsed by
+ * splitSizedSpec()); isChainSpec() is how GcServer tells a chained
+ * request from a registry one.
  */
 #ifndef HAAC_CHAIN_WORKLOADS_H
 #define HAAC_CHAIN_WORKLOADS_H
@@ -49,8 +50,9 @@ bool isChainSpec(const std::string &spec);
  *                      headline: ~2 W^2 ANDs garbled ahead of time
  *                      against 2 W links at request time.
  *
- * @throws std::invalid_argument for an unknown name or a width the
- *         component library refuses.
+ * @throws std::invalid_argument for an unknown name, or a width
+ *         outside [1, kMaxComponentWidth] or that the component
+ *         library refuses.
  */
 ChainWorkload resolveChainWorkload(const std::string &spec);
 

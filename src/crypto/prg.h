@@ -10,6 +10,7 @@
 #ifndef HAAC_CRYPTO_PRG_H
 #define HAAC_CRYPTO_PRG_H
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -34,6 +35,31 @@ uint64_t splitmix64(uint64_t x);
  * seeds instead.
  */
 uint64_t randomSeed();
+
+/**
+ * The one garbling-seed rule, shared by GcServer sessions, chained
+ * components and the ready pools. Base 0 draws every seed from the OS
+ * entropy source (randomSeed()) — the only safe setting when a real
+ * peer connects. A nonzero base hands out base, base + 1, ... in draw
+ * order, for reproducible tests, and never the same seed twice.
+ * Thread-safe.
+ */
+class SeedSequence
+{
+  public:
+    explicit SeedSequence(uint64_t base = 0) : base_(base) {}
+
+    /** The first of @p n fresh consecutive seeds. */
+    uint64_t
+    next(uint64_t n = 1)
+    {
+        return base_ != 0 ? base_ + offset_.fetch_add(n) : randomSeed();
+    }
+
+  private:
+    const uint64_t base_;
+    std::atomic<uint64_t> offset_{0};
+};
 
 /** AES-CTR pseudorandom label stream. */
 class Prg

@@ -9,6 +9,7 @@
 #include "gc/ot_ext.h"
 #include "gc/streaming.h"
 #include "net/net_channel.h"
+#include "net/wire.h"
 
 namespace haac {
 
@@ -55,48 +56,39 @@ struct Fingerprint
         return fp;
     }
 
-    void
-    serialize(uint8_t out[kBytes]) const
+    std::vector<uint8_t>
+    serialize() const
     {
-        size_t at = 0;
-        auto u32 = [&](uint32_t v) {
-            for (int i = 0; i < 4; ++i)
-                out[at++] = uint8_t(v >> (8 * i));
-        };
-        u32(garblerInputs);
-        u32(evaluatorInputs);
-        u32(gates);
-        u32(andGates);
-        u32(outputs);
-        u32(constOne);
-        for (int i = 0; i < 8; ++i)
-            out[at++] = 0; // reserved
-        u32(segmentTables);
-        out[at++] = ot;
-        out[at++] = otCached ? 1 : 0;
+        WireWriter w;
+        w.u32(garblerInputs);
+        w.u32(evaluatorInputs);
+        w.u32(gates);
+        w.u32(andGates);
+        w.u32(outputs);
+        w.u32(constOne);
+        w.u64(0); // reserved
+        w.u32(segmentTables);
+        w.u8(ot);
+        w.u8(otCached ? 1 : 0);
+        return w.take();
     }
 
     static Fingerprint
-    deserialize(const uint8_t in[kBytes])
+    deserialize(const std::vector<uint8_t> &bytes)
     {
-        size_t at = 0;
-        auto u32 = [&] {
-            uint32_t v = 0;
-            for (int i = 0; i < 4; ++i)
-                v |= uint32_t(in[at++]) << (8 * i);
-            return v;
-        };
+        WireReader r(bytes);
         Fingerprint fp;
-        fp.garblerInputs = u32();
-        fp.evaluatorInputs = u32();
-        fp.gates = u32();
-        fp.andGates = u32();
-        fp.outputs = u32();
-        fp.constOne = u32();
-        at += 8; // reserved
-        fp.segmentTables = u32();
-        fp.ot = in[at++];
-        fp.otCached = in[at++] != 0;
+        fp.garblerInputs = r.u32();
+        fp.evaluatorInputs = r.u32();
+        fp.gates = r.u32();
+        fp.andGates = r.u32();
+        fp.outputs = r.u32();
+        fp.constOne = r.u32();
+        r.u64(); // reserved
+        fp.segmentTables = r.u32();
+        fp.ot = r.u8();
+        fp.otCached = r.u8() != 0;
+        r.expectEnd("remote fingerprint");
         return fp;
     }
 
@@ -121,12 +113,6 @@ struct Fingerprint
                " const=" + std::to_string(constOne);
     }
 };
-
-uint32_t
-clampSegment(uint32_t segment_tables)
-{
-    return segment_tables > 0 ? segment_tables : 1;
-}
 
 /** Live garbling: labels and tables from a two-phase garbler. */
 struct LiveGarblerSource
@@ -192,7 +178,7 @@ runGarblerFrom(const Netlist &netlist,
         throw std::invalid_argument(
             "runRemoteGarbler: wrong garbler input count");
 
-    const uint32_t segment_tables = clampSegment(opts.segmentTables);
+    const uint32_t segment_tables = opts.segment();
     const auto start = Clock::now();
 
     RemoteResult res;
@@ -213,11 +199,10 @@ runGarblerFrom(const Netlist &netlist,
     Fingerprint fp = Fingerprint::of(netlist);
     fp.segmentTables = segment_tables;
     fp.otCached = reuse_ot;
-    uint8_t fp_bytes[Fingerprint::kBytes];
-    fp.serialize(fp_bytes);
-    chan.sendBytes(fp_bytes, sizeof(fp_bytes));
+    const std::vector<uint8_t> fp_bytes = fp.serialize();
+    chan.sendBytes(fp_bytes.data(), fp_bytes.size());
     chan.flush();
-    res.controlBytes += sizeof(fp_bytes);
+    res.controlBytes += fp_bytes.size();
 
     // --- OT phase (before any other label traffic). ---
     size_t base = chan.bytesSent();
@@ -360,13 +345,11 @@ runRemoteEvaluator(const Netlist &netlist,
     const auto start = Clock::now();
     RemoteResult res;
     res.gates = netlist.numGates();
-    NetChannel chan(transport,
-                    size_t(clampSegment(opts.segmentTables)) *
-                        kTableBytes);
+    NetChannel chan(transport, size_t(opts.segment()) * kTableBytes);
 
-    uint8_t fp_bytes[Fingerprint::kBytes];
-    chan.recvBytes(fp_bytes, sizeof(fp_bytes));
-    res.controlBytes += sizeof(fp_bytes);
+    std::vector<uint8_t> fp_bytes(Fingerprint::kBytes);
+    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
+    res.controlBytes += fp_bytes.size();
     const Fingerprint remote_fp = Fingerprint::deserialize(fp_bytes);
     res.segmentTables = remote_fp.segmentTables;
     const Fingerprint local_fp = Fingerprint::of(netlist);

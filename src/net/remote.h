@@ -83,23 +83,35 @@ std::vector<Label> receiveOtBatch(ByteChannel &chan,
 
 struct RemoteOptions
 {
-    /** Garbled tables per streamed segment frame (>= 1). */
+    /** Garbled tables per streamed segment frame (0 is read as 1). */
     uint32_t segmentTables = 1024;
     /**
      * Borrowed per-connection OT cache; null runs the base-OT phase
      * every session, the pre-cache behavior.
      */
     OtConnectionCache *otCache = nullptr;
+
+    /** segmentTables as the garbler streams it (at least 1). */
+    uint32_t
+    segment() const
+    {
+        return segmentTables > 0 ? segmentTables : 1;
+    }
 };
 
-/** One party's view of a completed remote execution. */
+/**
+ * One party's view of a completed remote execution: a monolithic
+ * netlist (runRemoteGarbler / runRemoteEvaluator) or a chained plan
+ * (chain/link.h's runChainGarbler / runChainEvaluator).
+ */
 struct RemoteResult
 {
     /** Decoded circuit outputs (both parties learn them). */
     std::vector<bool> outputs;
 
     /** @name Garbler→evaluator payload, same categories as
-     *  ProtocolResult (identical on both sides of the wire). */
+     *  ProtocolResult (identical on both sides of the wire);
+     *  totalBytes also counts a chained session's linkBytes. */
     /// @{
     uint64_t tableBytes = 0;
     uint64_t inputLabelBytes = 0;
@@ -131,6 +143,18 @@ struct RemoteResult
     bool otSetupReused = false;
     /** Garbler replayed a pre-garbled instance (serve/pool.h). */
     bool pooledGarbling = false;
+
+    /** @name Chained sessions only; all zero for a monolithic one */
+    /// @{
+    /** Link-table stream frames: headers + translation tables. */
+    uint64_t linkBytes = 0;
+    /** Frames the link-table stream used (one per linked node). */
+    uint32_t linkFrames = 0;
+    uint32_t components = 0; ///< nodes linked (> 0 marks a chain)
+    uint32_t links = 0;      ///< translation tables shipped
+    /** Components served pre-garbled (provider said pooled). */
+    uint32_t pooledComponents = 0;
+    /// @}
 
     double
     gatesPerSecond() const

@@ -1,6 +1,6 @@
 #include "net/server.h"
 
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,28 +15,25 @@
 
 namespace haac {
 
+/**
+ * One resolved request: the circuit a session runs, the inputs the
+ * server plays with, and what the ack and the report call it.
+ */
+struct GcServer::Job
+{
+    std::string spec; ///< the request's spec; empty for an upload
+    std::string name; ///< the report's workload name
+    std::string ack;  ///< the success ack's message
+    Netlist netlist;  ///< the monolithic circuit (none for a chain)
+    std::optional<chain::ChainPlan> plan; ///< set for a chain spec
+    std::vector<bool> garblerBits;   ///< the server's bits, if it garbles
+    std::vector<bool> evaluatorBits; ///< ... and if it evaluates
+};
+
 namespace {
 
-/** Parse "Name:arg" → (Name, arg); no colon → (spec, nullopt). */
-bool
-splitSpec(const std::string &spec, std::string &name, uint32_t &arg)
-{
-    const size_t colon = spec.find(':');
-    if (colon == std::string::npos)
-        return false;
-    name = spec.substr(0, colon);
-    const std::string tail = spec.substr(colon + 1);
-    if (tail.empty())
-        throw NetError("workload spec \"" + spec +
-                       "\": missing size argument");
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(tail.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || v == 0 || v > (1u << 20))
-        throw NetError("workload spec \"" + spec +
-                       "\": bad size argument \"" + tail + "\"");
-    arg = uint32_t(v);
-    return true;
-}
+/** Largest size a sized registry spec ("Million:N") may name. */
+constexpr uint32_t kMaxSpecSize = 1u << 20;
 
 /**
  * The declared gate and wire counts, straight off the Bristol header,
@@ -60,29 +57,115 @@ bristolHeaderPeek(const std::string &text)
     return h;
 }
 
+/** Throw NetError when @p what names more than @p cap @p unit. */
+void
+refuseAbove(uint64_t count, uint64_t cap, const std::string &what,
+            const char *unit = "gates")
+{
+    if (count > cap)
+        throw NetError(what + " " + std::to_string(count) + " " + unit +
+                       "; this server admits at most " +
+                       std::to_string(cap));
+}
+
+/**
+ * resolveWorkload() under a gate cap. A sized spec is refused on an
+ * upper bound of its gate count before any synthesis (measured:
+ * Million and Adder 5N - 2 gates, Mult just under 6N^2); every spec
+ * is re-checked on its real count.
+ */
+Workload
+resolveCapped(const std::string &spec, uint64_t max_gates)
+{
+    const std::string quoted = "workload spec \"" + spec + "\"";
+    std::string name;
+    uint32_t n = 0;
+    bool sized = false;
+    try {
+        sized = chain::splitSizedSpec(spec, name, n, kMaxSpecSize);
+    } catch (const std::invalid_argument &e) {
+        throw NetError(e.what());
+    }
+    Workload wl;
+    if (sized) {
+        const bool mult = name == "Mult";
+        if (!mult && name != "Million" && name != "millionaire" &&
+            name != "Adder")
+            throw NetError("unknown " + quoted);
+        const uint64_t big_n = n;
+        refuseAbove(mult ? 6 * big_n * big_n : 5 * big_n, max_gates,
+                    quoted + " would build about");
+        wl = mult ? makeMultiplier(n)
+                  : name == "Adder" ? makeAdder(n) : makeMillionaire(n);
+    } else if (spec == "AES128" || spec == "aes128") {
+        wl = makeAes128();
+    } else {
+        try {
+            wl = vipWorkload(spec, false);
+        } catch (const std::invalid_argument &) {
+            throw NetError("unknown " + quoted);
+        }
+    }
+    refuseAbove(wl.netlist.numGates(), max_gates, quoted + " builds");
+    return wl;
+}
+
+/** The admission gate for a netlist-upload frame. */
+Netlist
+admitUpload(const std::vector<uint8_t> &frame, uint32_t max_gates)
+{
+    const std::string text = parseNetlistUploadFrame(frame);
+    const BristolHeader hdr = bristolHeaderPeek(text);
+    refuseAbove(hdr.gates, max_gates, "uploaded netlist declares");
+    // Every wire of an admissible circuit is a primary input or one
+    // gate's output, and the parser refuses headers where that fails,
+    // so 2*maxGates (+1 output slack, e.g. an XOR-parity tree) bounds
+    // the wire count of everything worth parsing — and, with it, the
+    // parser's wire-map allocation.
+    refuseAbove(hdr.wires, 2 * uint64_t(max_gates) + 1,
+                "uploaded netlist declares", "wires");
+    LintReport lints;
+    Netlist nl = readBristolString(text, &lints);
+    if (!lints.clean())
+        throw NetError(
+            "uploaded netlist refused by the circuit analyzer (" +
+            lints.summary() + "): " + lints.firstError());
+    refuseAbove(nl.numGates(), max_gates,
+                "uploaded netlist canonicalizes to");
+    return nl;
+}
+
+/** Answer a request frame: ok byte, then a message. */
+void
+sendAck(Transport &transport, bool ok, const std::string &message)
+{
+    std::vector<uint8_t> frame;
+    frame.reserve(1 + message.size());
+    frame.push_back(ok ? 1 : 0);
+    frame.insert(frame.end(), message.begin(), message.end());
+    transport.sendFrame(frame);
+}
+
+/** The client half of any request: send @p request, await the ack. */
+void
+awaitAck(Transport &transport, const std::vector<uint8_t> &request,
+         const char *refusal)
+{
+    transport.sendFrame(request);
+    const std::vector<uint8_t> ack = transport.recvFrame();
+    if (ack.empty())
+        throw NetError("server sent an empty session ack");
+    if (ack[0] == 0)
+        throw NetError(std::string(refusal) +
+                       std::string(ack.begin() + 1, ack.end()));
+}
+
 } // namespace
 
 Workload
 resolveWorkload(const std::string &spec)
 {
-    std::string name;
-    uint32_t arg = 0;
-    if (splitSpec(spec, name, arg)) {
-        if (name == "Million" || name == "millionaire")
-            return makeMillionaire(arg);
-        if (name == "Adder")
-            return makeAdder(arg);
-        if (name == "Mult")
-            return makeMultiplier(arg);
-        throw NetError("unknown workload spec \"" + spec + "\"");
-    }
-    if (spec == "AES128" || spec == "aes128")
-        return makeAes128();
-    try {
-        return vipWorkload(spec, false);
-    } catch (const std::invalid_argument &) {
-        throw NetError("unknown workload spec \"" + spec + "\"");
-    }
+    return resolveCapped(spec, UINT64_MAX);
 }
 
 PeerRole
@@ -99,26 +182,15 @@ clientHello(Transport &transport, PeerRole self, const std::string &spec)
 void
 clientRequest(Transport &transport, const std::string &spec)
 {
-    std::vector<uint8_t> request(spec.begin(), spec.end());
-    transport.sendFrame(request);
-    const std::vector<uint8_t> ack = transport.recvFrame();
-    if (ack.empty())
-        throw NetError("server sent an empty session ack");
-    const std::string message(ack.begin() + 1, ack.end());
-    if (ack[0] == 0)
-        throw NetError("server refused session: " + message);
+    awaitAck(transport, std::vector<uint8_t>(spec.begin(), spec.end()),
+             "server refused session: ");
 }
 
 void
 clientUploadRequest(Transport &transport, const std::string &bristol)
 {
-    transport.sendFrame(makeNetlistUploadFrame(bristol));
-    const std::vector<uint8_t> ack = transport.recvFrame();
-    if (ack.empty())
-        throw NetError("server sent an empty session ack");
-    const std::string message(ack.begin() + 1, ack.end());
-    if (ack[0] == 0)
-        throw NetError("server refused upload: " + message);
+    awaitAck(transport, makeNetlistUploadFrame(bristol),
+             "server refused upload: ");
 }
 
 RunReport
@@ -153,51 +225,21 @@ makeRemoteReport(const RemoteResult &result, Role role,
         report.serve.pooledGarbling = result.pooledGarbling;
         report.hasServe = true;
     }
-    return report;
-}
-
-RunReport
-makeChainReport(const chain::ChainResult &result, Role role,
-                const Transport &transport)
-{
-    RunReport report;
-    report.backend = "chain-gc";
-    report.outputs = result.outputs;
-    report.hasOutputs = true;
-    report.comm.tableBytes = result.tableBytes;
-    report.comm.inputLabelBytes = result.inputLabelBytes;
-    report.comm.otBytes = result.otBytes;
-    report.comm.otUplinkBytes = result.otUplinkBytes;
-    report.comm.outputDecodeBytes = result.outputDecodeBytes;
-    report.comm.totalBytes = result.totalBytes;
-    report.hasComm = true;
-    report.net.role = role;
-    report.net.endpoint = transport.describe();
-    report.net.rawBytesSent = transport.rawBytesSent();
-    report.net.rawBytesReceived = transport.rawBytesReceived();
-    report.net.controlBytes = result.controlBytes;
-    report.net.tableSegments = result.tableSegments;
-    report.net.segmentTables = result.segmentTables;
-    report.net.gates = result.gates;
-    report.net.gatesPerSecond =
-        result.seconds > 0 ? double(result.gates) / result.seconds : 0;
-    report.hasNet = true;
-    report.chain.components = result.components;
-    report.chain.links = result.links;
-    report.chain.linkBytes = result.linkBytes;
-    report.chain.linkFrames = result.linkFrames;
-    report.chain.pooledComponents = result.pooledComponents;
-    report.hasChain = true;
-    report.hostSeconds = result.seconds;
-    report.gates = result.gates;
-    if (result.otSetupReused) {
-        report.serve.otSetupReused = true;
-        report.hasServe = true;
+    if (result.components > 0) {
+        report.backend = "chain-gc";
+        report.chain.components = result.components;
+        report.chain.links = result.links;
+        report.chain.linkBytes = result.linkBytes;
+        report.chain.linkFrames = result.linkFrames;
+        report.chain.pooledComponents = result.pooledComponents;
+        report.hasChain = true;
     }
     return report;
 }
 
-GcServer::GcServer(ServerOptions opts) : opts_(opts)
+GcServer::GcServer(ServerOptions opts)
+    : opts_(opts), seeds_(opts.seedBase),
+      jobs_(opts.cacheWorkloads ? kCachedSpecs : 0)
 {
     if (opts_.threads == 0)
         opts_.threads = 1;
@@ -333,7 +375,7 @@ GcServer::serveOne(Transport &transport, uint64_t session_id)
         throw NetError("peer is also a server; no party would garble");
 
     // One connection, many sessions: each iteration serves one
-    // workload-spec frame; the peer closing between sessions ends the
+    // request frame; the peer closing between sessions ends the
     // connection cleanly. The base-OT cache lives exactly as long as
     // the connection (see OtConnectionCache's doc for why).
     OtConnectionCache ot_cache;
@@ -351,46 +393,84 @@ GcServer::serveOne(Transport &transport, uint64_t session_id)
             std::lock_guard<std::mutex> lock(mutex_);
             sid = nextSessionId_++;
         }
-        if (isNetlistUploadFrame(request)) {
-            serveUploadSession(transport, sid, client, request,
-                               ot_cache);
-            continue;
-        }
-        const std::string spec(request.begin(), request.end());
-        if (chain::isChainSpec(spec))
-            serveChainSession(transport, sid, client, spec, ot_cache);
-        else
-            serveSession(transport, sid, client, spec, ot_cache);
+        serveRequest(transport, sid, client, request, ot_cache);
     }
 
     std::lock_guard<std::mutex> lock(mutex_);
     ++totals_.connectionsServed;
 }
 
+std::shared_ptr<const GcServer::Job>
+GcServer::resolveRequest(const std::vector<uint8_t> &request)
+{
+    if (isNetlistUploadFrame(request)) {
+        // Uploads are assumed unique: admitted every time, never
+        // cached. The server has no stake in a circuit it has never
+        // seen, so its own inputs are all zero.
+        auto job = std::make_shared<Job>();
+        job->netlist = admitUpload(request, opts_.maxGates);
+        job->name = "uploaded-netlist";
+        job->ack = "netlist:" + std::to_string(job->netlist.numGates());
+        job->garblerBits.assign(job->netlist.numGarblerInputs, false);
+        job->evaluatorBits.assign(job->netlist.numEvaluatorInputs, false);
+        return job;
+    }
+
+    const std::string spec(request.begin(), request.end());
+    if (spec.empty())
+        throw NetError("this server requires a workload spec "
+                       "(e.g. \"Million:32\")");
+    if (std::shared_ptr<const Job> hit = jobs_.get(spec))
+        return hit;
+    auto job = std::make_shared<Job>();
+    job->spec = spec;
+    if (chain::isChainSpec(spec)) {
+        chain::ChainWorkload wl;
+        try {
+            wl = chain::resolveChainWorkload(spec);
+        } catch (const std::invalid_argument &e) {
+            throw NetError("unknown chain workload spec \"" + spec +
+                           "\": " + e.what());
+        }
+        refuseAbove(wl.plan.totalGates(), opts_.maxGates,
+                    "chain workload spec \"" + spec + "\" builds");
+        job->name = wl.name;
+        job->plan = std::move(wl.plan);
+        job->garblerBits = std::move(wl.garblerBits);
+        job->evaluatorBits = std::move(wl.evaluatorBits);
+    } else {
+        Workload wl = resolveCapped(spec, opts_.maxGates);
+        job->name = wl.name;
+        job->netlist = std::move(wl.netlist);
+        job->garblerBits = std::move(wl.garblerBits);
+        job->evaluatorBits = std::move(wl.evaluatorBits);
+    }
+    job->ack = job->name;
+    jobs_.put(spec, job);
+    return job;
+}
+
 void
-GcServer::serveSession(Transport &transport, uint64_t session_id,
-                       PeerRole client, const std::string &spec,
+GcServer::serveRequest(Transport &transport, uint64_t session_id,
+                       PeerRole client,
+                       const std::vector<uint8_t> &request,
                        OtConnectionCache &ot_cache)
 {
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> frame;
-        frame.reserve(1 + message.size());
-        frame.push_back(ok ? 1 : 0);
-        frame.insert(frame.end(), message.begin(), message.end());
-        transport.sendFrame(frame);
-    };
-
-    std::shared_ptr<const Workload> wl;
+    // Resolve before anything else: a refusal is acked back and ends
+    // the connection before a single label is derived.
+    std::shared_ptr<const Job> job;
     try {
-        if (spec.empty())
-            throw NetError("this server requires a workload spec "
-                           "(e.g. \"Million:32\")");
-        wl = resolveCached(spec);
-    } catch (const NetError &e) {
-        ack(false, e.what());
-        throw;
+        job = resolveRequest(request);
+    } catch (const std::exception &e) {
+        if (isNetlistUploadFrame(request)) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++totals_.uploadsRefused;
+        }
+        sendAck(transport, false, e.what());
+        throw NetError(e.what());
     }
-    ack(true, wl->name);
+    sendAck(transport, true, job->ack);
+    const bool upload = job->spec.empty();
 
     RemoteOptions ropts;
     ropts.segmentTables = opts_.segmentTables;
@@ -400,41 +480,62 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
                                  ? Role::Evaluator
                                  : Role::Garbler;
 
-    // Garbler sessions prefer a pooled instance; a pool miss (or no
-    // pool) garbles inline with the deterministic per-session seed.
+    // Garbler sessions prefer pre-garbled work: a registry spec pops a
+    // pooled instance, a chain links pooled components (misses garble
+    // inside the provider). Anything else garbles inline under the
+    // server's seed rule. Either way one garbling serves one session.
     std::unique_ptr<GarbledInstance> pooled;
-    const bool pool_eligible =
-        opts_.pool != nullptr && server_role == Role::Garbler;
+    const bool pool_eligible = opts_.pool != nullptr &&
+                               server_role == Role::Garbler &&
+                               !job->plan && !upload;
     if (pool_eligible) {
-        opts_.pool->track(spec, wl->netlist);
-        pooled = opts_.pool->tryPop(spec);
+        opts_.pool->track(job->spec, job->netlist);
+        pooled = opts_.pool->tryPop(job->spec);
     }
 
     RemoteResult result;
-    if (server_role == Role::Garbler) {
-        result = pooled != nullptr
-                     ? runRemoteGarbler(wl->netlist, wl->garblerBits,
-                                        transport, *pooled, ropts)
-                     : runRemoteGarbler(wl->netlist, wl->garblerBits,
-                                        transport,
-                                        opts_.seedBase + session_id,
-                                        ropts);
+    if (server_role == Role::Evaluator) {
+        result = job->plan ? chain::runChainEvaluator(
+                                 *job->plan, job->evaluatorBits,
+                                 transport, ropts)
+                           : runRemoteEvaluator(job->netlist,
+                                                job->evaluatorBits,
+                                                transport, ropts);
+    } else if (job->plan && opts_.componentPool != nullptr) {
+        opts_.componentPool->trackPlan(*job->plan);
+        result = chain::runChainGarbler(
+            *job->plan, job->garblerBits, transport,
+            opts_.componentPool->provider(), ropts);
+    } else if (job->plan) {
+        result = chain::runChainGarbler(
+            *job->plan, job->garblerBits, transport,
+            seeds_.next(job->plan->nodes.size()), ropts);
+    } else if (pooled != nullptr) {
+        result = runRemoteGarbler(job->netlist, job->garblerBits,
+                                  transport, *pooled, ropts);
     } else {
-        result = runRemoteEvaluator(wl->netlist, wl->evaluatorBits,
-                                    transport, ropts);
+        result = runRemoteGarbler(job->netlist, job->garblerBits,
+                                  transport, seeds_.next(), ropts);
     }
 
     RunReport report = makeRemoteReport(result, server_role, transport);
-    report.workload = wl->name;
+    report.workload = job->name;
     report.label = "session-" + std::to_string(session_id);
-    if (opts_.pool != nullptr || opts_.cacheBaseOt) {
-        const serve::PoolStats ps = opts_.pool != nullptr
-                                        ? opts_.pool->stats()
-                                        : serve::PoolStats{};
+    // The serve section carries the stats of the pool a kind draws
+    // from: registry specs whenever a pool or the OT cache is on,
+    // chains when a component pool is; uploads have none.
+    std::optional<serve::PoolStats> pool_stats;
+    if (job->plan && opts_.componentPool != nullptr)
+        pool_stats = opts_.componentPool->stats();
+    else if (!job->plan && !upload &&
+             (opts_.pool != nullptr || opts_.cacheBaseOt))
+        pool_stats = opts_.pool != nullptr ? opts_.pool->stats()
+                                           : serve::PoolStats{};
+    if (pool_stats) {
         report.serve.pooledGarbling = result.pooledGarbling;
         report.serve.otSetupReused = result.otSetupReused;
-        report.serve.poolHits = ps.hits;
-        report.serve.poolMisses = ps.misses;
+        report.serve.poolHits = pool_stats->hits;
+        report.serve.poolMisses = pool_stats->misses;
         report.hasServe = true;
     }
     // Serialize outside any lock; the sink has its own mutex so slow
@@ -452,240 +553,19 @@ GcServer::serveSession(Transport &transport, uint64_t session_id,
                                  : totals_.poolMisses);
         if (result.otSetupReused)
             ++totals_.otSetupsReused;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
-}
-
-void
-GcServer::serveUploadSession(Transport &transport, uint64_t session_id,
-                             PeerRole client,
-                             const std::vector<uint8_t> &frame,
-                             OtConnectionCache &ot_cache)
-{
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> reply;
-        reply.reserve(1 + message.size());
-        reply.push_back(ok ? 1 : 0);
-        reply.insert(reply.end(), message.begin(), message.end());
-        transport.sendFrame(reply);
-    };
-
-    // The admission gate. Everything in this block runs before a
-    // single label is derived: header cap, parse, analyzer verdict,
-    // canonical-size re-check. Refusal kills the session (and the
-    // connection, like a refused spec) with the diagnostic acked back.
-    Netlist nl;
-    try {
-        const std::string text = parseNetlistUploadFrame(frame);
-        const BristolHeader hdr = bristolHeaderPeek(text);
-        if (hdr.gates > opts_.maxGates)
-            throw NetError("uploaded netlist declares " +
-                           std::to_string(hdr.gates) +
-                           " gates; this server admits at most " +
-                           std::to_string(opts_.maxGates));
-        // Every wire of an admissible circuit is a primary input or
-        // one gate's output, and the parser refuses headers where
-        // that fails, so 2*maxGates (+1 output slack, e.g. an
-        // XOR-parity tree) bounds the wire count of everything worth
-        // parsing — and, with it, the parser's wire-map allocation.
-        const uint64_t max_wires = 2 * uint64_t(opts_.maxGates) + 1;
-        if (hdr.wires > max_wires)
-            throw NetError("uploaded netlist declares " +
-                           std::to_string(hdr.wires) +
-                           " wires; this server admits at most " +
-                           std::to_string(max_wires));
-        LintReport lints;
-        nl = readBristolString(text, &lints);
-        if (!lints.clean())
-            throw NetError(
-                "uploaded netlist refused by the circuit analyzer (" +
-                lints.summary() + "): " + lints.firstError());
-        if (nl.numGates() > opts_.maxGates)
-            throw NetError("uploaded netlist canonicalizes to " +
-                           std::to_string(nl.numGates()) +
-                           " gates; this server admits at most " +
-                           std::to_string(opts_.maxGates));
-    } catch (const std::exception &e) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++totals_.uploadsRefused;
+        if (job->plan) {
+            ++totals_.chainSessions;
+            totals_.componentsLinked += result.components;
+            totals_.componentPoolHits += result.pooledComponents;
+            totals_.linkBytes += result.linkBytes;
         }
-        ack(false, e.what());
-        throw NetError(e.what());
-    }
-    ack(true, "netlist:" + std::to_string(nl.numGates()));
-
-    RemoteOptions ropts;
-    ropts.segmentTables = opts_.segmentTables;
-    if (opts_.cacheBaseOt)
-        ropts.otCache = &ot_cache;
-    const Role server_role = client == PeerRole::Garbler
-                                 ? Role::Evaluator
-                                 : Role::Garbler;
-
-    // The server has no stake in a circuit it has never seen: its own
-    // inputs are all zero, and nothing about an upload is pooled or
-    // cached (each one is assumed unique).
-    RemoteResult result;
-    if (server_role == Role::Garbler) {
-        const std::vector<bool> bits(nl.numGarblerInputs, false);
-        result = runRemoteGarbler(nl, bits, transport,
-                                  opts_.seedBase + session_id, ropts);
-    } else {
-        const std::vector<bool> bits(nl.numEvaluatorInputs, false);
-        result = runRemoteEvaluator(nl, bits, transport, ropts);
-    }
-
-    RunReport report = makeRemoteReport(result, server_role, transport);
-    report.workload = "uploaded-netlist";
-    report.label = "session-" + std::to_string(session_id);
-    // Serialize outside any lock (see serveSession).
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        ++totals_.uploadSessions;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
+        if (upload)
+            ++totals_.uploadSessions;
     }
     if (opts_.reports) {
         std::lock_guard<std::mutex> lock(reportMutex_);
         *opts_.reports << json << "\n" << std::flush;
     }
-}
-
-void
-GcServer::serveChainSession(Transport &transport, uint64_t session_id,
-                            PeerRole client, const std::string &spec,
-                            OtConnectionCache &ot_cache)
-{
-    auto ack = [&](bool ok, const std::string &message) {
-        std::vector<uint8_t> frame;
-        frame.reserve(1 + message.size());
-        frame.push_back(ok ? 1 : 0);
-        frame.insert(frame.end(), message.begin(), message.end());
-        transport.sendFrame(frame);
-    };
-
-    std::shared_ptr<const chain::ChainWorkload> wl;
-    try {
-        wl = resolveChainCached(spec);
-    } catch (const NetError &e) {
-        ack(false, e.what());
-        throw;
-    }
-    ack(true, wl->name);
-
-    RemoteOptions ropts;
-    ropts.segmentTables = opts_.segmentTables;
-    if (opts_.cacheBaseOt)
-        ropts.otCache = &ot_cache;
-    const Role server_role = client == PeerRole::Garbler
-                                 ? Role::Evaluator
-                                 : Role::Garbler;
-
-    chain::ChainResult result;
-    if (server_role == Role::Garbler) {
-        // A pool serves pre-garbled components (misses garble inline
-        // inside the provider); without one, every component garbles
-        // fresh from a per-session seed stream. The chaining security
-        // contract (one garbling, one session) holds either way.
-        if (opts_.componentPool != nullptr) {
-            opts_.componentPool->trackPlan(wl->plan);
-            result = chain::runChainGarbler(
-                wl->plan, wl->garblerBits, transport,
-                opts_.componentPool->provider(), ropts);
-        } else {
-            const uint64_t seed_base =
-                opts_.seedBase == 0
-                    ? 0
-                    : splitmix64(opts_.seedBase ^ (session_id + 1));
-            result = chain::runChainGarbler(wl->plan, wl->garblerBits,
-                                            transport, seed_base,
-                                            ropts);
-        }
-    } else {
-        result = chain::runChainEvaluator(wl->plan, wl->evaluatorBits,
-                                          transport, ropts);
-    }
-
-    RunReport report = makeChainReport(result, server_role, transport);
-    report.workload = wl->name;
-    report.label = "session-" + std::to_string(session_id);
-    if (opts_.componentPool != nullptr) {
-        const serve::PoolStats ps = opts_.componentPool->stats();
-        report.serve.poolHits = ps.hits;
-        report.serve.poolMisses = ps.misses;
-        report.hasServe = true;
-    }
-    // Serialize outside any lock (see serveSession).
-    const std::string json = opts_.reports ? report.toJson() : "";
-
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++totals_.sessionsServed;
-        totals_.payloadBytes += result.totalBytes;
-        totals_.gates += result.gates;
-        totals_.sessionSeconds += result.seconds;
-        if (result.otSetupReused)
-            ++totals_.otSetupsReused;
-        ++totals_.chainSessions;
-        totals_.componentsLinked += result.components;
-        totals_.componentPoolHits += result.pooledComponents;
-        totals_.linkBytes += result.linkBytes;
-    }
-    if (opts_.reports) {
-        std::lock_guard<std::mutex> lock(reportMutex_);
-        *opts_.reports << json << "\n" << std::flush;
-    }
-}
-
-std::shared_ptr<const Workload>
-GcServer::resolveCached(const std::string &spec)
-{
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        auto it = workloadCache_.find(spec);
-        if (it != workloadCache_.end())
-            return it->second;
-    }
-    auto wl = std::make_shared<const Workload>(resolveWorkload(spec));
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        workloadCache_.emplace(spec, wl);
-    }
-    return wl;
-}
-
-std::shared_ptr<const chain::ChainWorkload>
-GcServer::resolveChainCached(const std::string &spec)
-{
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        auto it = chainCache_.find(spec);
-        if (it != chainCache_.end())
-            return it->second;
-    }
-    std::shared_ptr<const chain::ChainWorkload> wl;
-    try {
-        wl = std::make_shared<const chain::ChainWorkload>(
-            chain::resolveChainWorkload(spec));
-    } catch (const std::invalid_argument &e) {
-        throw NetError("unknown chain workload spec \"" + spec +
-                       "\": " + e.what());
-    }
-    if (opts_.cacheWorkloads) {
-        std::lock_guard<std::mutex> lock(workloadMutex_);
-        chainCache_.emplace(spec, wl);
-    }
-    return wl;
 }
 
 } // namespace haac

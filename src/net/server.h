@@ -8,26 +8,40 @@
  *    after the transport handshake pairs a garbler with an evaluator
  *    they go straight into the remote protocol.
  *  - *Server* (haac_server): the server answers the handshake with
- *    PeerRole::Server, the client follows with a workload-spec frame
- *    ("Million:32", "Hamm", ...), the server resolves it against the
- *    workload registry, acks, and plays whichever role the client did
- *    not claim, using the workload's sample bits for its own inputs.
+ *    PeerRole::Server, and the client follows with a request frame,
+ *    acked before any label moves. The server then plays whichever
+ *    role the client did not claim.
+ *
+ * Every request takes one path. The frame resolves to what to run,
+ * one of three kinds:
+ *
+ *  - a registry spec ("Million:32", "Hamm", ...; resolveWorkload()),
+ *    run with the workload's sample bits for the server's inputs;
+ *  - a chain spec ("ChainProdCmp:32"; chain/workloads.h), run as
+ *    pre-garbled components joined by link tables (chain/link.h);
+ *  - a netlist upload (clientUploadRequest()), admitted only through
+ *    the gate cap and the circuit analyzer, run with all-zero server
+ *    inputs.
+ *
+ * Specs are held to the same gate cap, sized ones before any
+ * synthesis, and a refusal of any kind goes back in the ack. After the ack, every kind
+ * shares the same role and RemoteOptions setup, one protocol run
+ * returning a RemoteResult, and one epilogue: a RunReport through
+ * makeRemoteReport(), the GcServer::Totals update, and one JSON line
+ * to the configured report sink, so a fleet of sessions accumulates
+ * the same trajectory format the benchmarks write.
  *
  * clientHello() performs the client half of both flavors; GcServer
- * workers perform the server half. Every completed session becomes
- * one standard RunReport — comm accounting plus the net section
- * (bytes, gates/s, wall time) — emitted as a JSON line to the
- * configured sink, so a fleet of sessions accumulates the same
- * trajectory format the benchmarks write.
- *
- * Connections are multi-session: after a session completes, the
- * server waits for another workload-spec frame on the same connection
- * (clientRequest() is the client half); the peer closing instead ends
- * the connection cleanly. Repeat traffic is amortized by the serving
- * layer (src/serve): a per-connection base-OT cache skips the
- * Curve25519 base phase after the first session, a workload cache
- * skips circuit re-synthesis, and an optional GarblePool lets garbler
- * sessions replay pre-garbled instances instead of garbling inline.
+ * workers perform the server half. Connections are multi-session:
+ * after a session completes, the server waits for another request on
+ * the same connection (clientRequest() / clientUploadRequest() are
+ * the client half); the peer closing instead ends the connection
+ * cleanly. Repeat traffic is amortized by the serving layer
+ * (src/serve): a per-connection base-OT cache skips the Curve25519
+ * base phase after the first session, a bounded LRU of resolved specs
+ * skips circuit re-synthesis, and optional pools let garbler sessions
+ * replay pre-garbled instances or components instead of garbling
+ * inline.
  */
 #ifndef HAAC_NET_SERVER_H
 #define HAAC_NET_SERVER_H
@@ -35,7 +49,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -44,9 +57,11 @@
 #include <vector>
 
 #include "api/run_report.h"
+#include "crypto/prg.h"
 #include "net/remote.h"
 #include "net/tcp.h"
 #include "net/transport.h"
+#include "serve/cache.h"
 #include "workloads/vip.h"
 
 namespace haac {
@@ -56,20 +71,16 @@ class GarblePool;
 class ComponentPool;
 }
 
-namespace chain {
-struct ChainResult;
-struct ChainWorkload;
-}
-
 /**
  * Resolve a wire workload spec to a Workload.
  *
  * Accepts the Table 5 prior-work circuits with a size argument
  * ("Million:32", "Adder:64", "Mult:8", "AES128") and every Table 2
- * VIP name ("Hamm", "MatMult", ...; default scale).
+ * VIP name ("Hamm", "MatMult", ...; default scale). The size is
+ * parsed by chain::splitSizedSpec(), in [1, 2^20].
  *
- * @throws NetError for an unknown spec (the server acks it back to
- *         the client as a session error).
+ * @throws NetError for an unknown or malformed spec (the server acks
+ *         it back to the client as a session error).
  */
 Workload resolveWorkload(const std::string &spec);
 
@@ -106,14 +117,13 @@ void clientRequest(Transport &transport, const std::string &spec);
 void clientUploadRequest(Transport &transport,
                          const std::string &bristol);
 
-/** Package one party's RemoteResult as the standard RunReport. */
+/**
+ * Package one party's RemoteResult as the standard RunReport. A
+ * chained result (components > 0) reports as backend "chain-gc" with
+ * the chain section filled in; any other as "remote-gc".
+ */
 RunReport makeRemoteReport(const RemoteResult &result, Role role,
                            const Transport &transport);
-
-/** Package one party's ChainResult (chain/link.h) as a RunReport
- *  with the chain section filled in. */
-RunReport makeChainReport(const chain::ChainResult &result, Role role,
-                          const Transport &transport);
 
 struct ServerOptions
 {
@@ -133,8 +143,17 @@ struct ServerOptions
     bool shardWorker = false;
     /** Garbled tables per streamed segment frame. */
     uint32_t segmentTables = 1024;
-    /** Session i garbles with seedBase + i (when the server garbles). */
-    uint64_t seedBase = 0x4841414331ull;
+    /**
+     * Seed rule for everything the server garbles inline (sessions,
+     * chained components, uploads), the pools' SeedSequence rule
+     * (crypto/prg.h): 0, the default, draws every seed from OS
+     * entropy, so no client can recompute the server's labels. A
+     * nonzero base hands out base, base + 1, ... across all
+     * sessions and chain nodes, for reproducible tests; it never
+     * repeats a seed, but a client that knows it knows the labels.
+     * Pools draw from their own PoolOptions::seedBase.
+     */
+    uint64_t seedBase = 0;
     /** Per-session RunReport JSON-Lines sink (null = don't emit). */
     std::ostream *reports = nullptr;
     /** Session-failure log sink (null = silent). */
@@ -152,17 +171,27 @@ struct ServerOptions
      * server; null garbles every component inline.
      */
     serve::ComponentPool *componentPool = nullptr;
-    /** Resolve each workload spec once and reuse the circuit. */
+    /**
+     * Keep resolved specs (registry and chain) in an LRU of
+     * GcServer::kCachedSpecs entries, so a repeat spec skips
+     * synthesis; false resolves every request afresh. Eviction is
+     * safe: sessions hold their circuit by reference count, and the
+     * pools own copies of what they garble.
+     */
     bool cacheWorkloads = true;
     /** Reuse each connection's base-OT + IKNP setup across sessions. */
     bool cacheBaseOt = true;
     /**
-     * Admission cap for uploaded netlists: the declared Bristol gate
-     * count is checked against this — and the declared wire count
-     * against 2*maxGates + 1 — *before* the text is parsed (so a
-     * hostile header cannot even make the parser reserve memory), and
-     * the canonicalized gate count is re-checked after. The transport
-     * frame bound (kMaxFrameBytes) caps the text itself.
+     * Admission cap on the gates of any circuit a request names.
+     * Uploads: the declared Bristol gate count is checked against
+     * this — and the declared wire count against 2*maxGates + 1 —
+     * *before* the text is parsed (so a hostile header cannot even
+     * make the parser reserve memory), and the canonicalized gate
+     * count is re-checked after; the transport frame bound
+     * (kMaxFrameBytes) caps the text itself. Sized registry specs:
+     * an upper bound on the gates ("Million:N" and "Adder:N" 5N,
+     * "Mult:N" 6N^2) is checked before synthesis. Every spec, chain
+     * specs included, is re-checked on its real gate count.
      */
     uint32_t maxGates = 1u << 22;
 };
@@ -214,31 +243,25 @@ class GcServer
     };
     Totals totals() const;
 
+    /** Resolved specs kept when ServerOptions::cacheWorkloads. */
+    static constexpr size_t kCachedSpecs = 16;
+
   private:
+    struct Job; ///< one resolved request (server.cc)
+
     void workerLoop();
     void serveOne(Transport &transport, uint64_t session_id);
-    void serveSession(Transport &transport, uint64_t session_id,
-                      PeerRole client, const std::string &spec,
+    void serveRequest(Transport &transport, uint64_t session_id,
+                      PeerRole client,
+                      const std::vector<uint8_t> &request,
                       OtConnectionCache &ot_cache);
-    void serveChainSession(Transport &transport, uint64_t session_id,
-                           PeerRole client, const std::string &spec,
-                           OtConnectionCache &ot_cache);
-    void serveUploadSession(Transport &transport, uint64_t session_id,
-                            PeerRole client,
-                            const std::vector<uint8_t> &frame,
-                            OtConnectionCache &ot_cache);
-    std::shared_ptr<const Workload>
-    resolveCached(const std::string &spec);
-    std::shared_ptr<const chain::ChainWorkload>
-    resolveChainCached(const std::string &spec);
+    std::shared_ptr<const Job>
+    resolveRequest(const std::vector<uint8_t> &request);
 
     ServerOptions opts_;
+    SeedSequence seeds_; ///< inline garbling seeds (opts_.seedBase)
+    serve::LruCache<std::string, Job> jobs_; ///< resolved specs
     std::mutex reportMutex_; ///< guards only the reports sink
-    std::mutex workloadMutex_; ///< guards only workloadCache_
-    std::map<std::string, std::shared_ptr<const Workload>>
-        workloadCache_;
-    std::map<std::string, std::shared_ptr<const chain::ChainWorkload>>
-        chainCache_;
     mutable std::mutex mutex_;
     std::condition_variable wake_;  ///< workers: queue non-empty / stop
     std::condition_variable idle_;  ///< drain(): queue empty, none active

@@ -1,7 +1,5 @@
 #include "serve/component_pool.h"
 
-#include "crypto/prg.h"
-
 namespace haac {
 namespace serve {
 
@@ -31,7 +29,7 @@ ComponentPool::provider()
         acq.pooled = acq.component != nullptr;
         if (!acq.pooled)
             acq.component = std::make_unique<chain::GarbledComponent>(
-                chain::captureComponent(spec, randomSeed()));
+                chain::captureComponent(spec, nextSeed()));
         return acq;
     };
 }

@@ -17,9 +17,10 @@
  * the freshness.
  *
  * Staleness: entries are keyed by the spec string and own a copy of
- * the netlist made at track() time. A workload whose netlist changes
- * identity must be tracked under a new spec; the server's workload
- * cache (net/server.h) has the same lifetime, so both stay in sync.
+ * the netlist made at track() time, so the server's bounded spec
+ * cache (net/server.h) may evict its own copy at any time. A workload
+ * whose netlist changes identity must be tracked under a new spec.
+ * Keys are never untracked.
  */
 #ifndef HAAC_SERVE_POOL_H
 #define HAAC_SERVE_POOL_H

@@ -58,10 +58,10 @@ struct PoolOptions
      */
     size_t lowWater = 0;
     /**
-     * Deterministic seed base for tests: item i of a pool draws seed
-     * seedBase + i. Zero (the default) draws each item's seed from
-     * the OS entropy source — the only safe setting when real
-     * evaluators connect.
+     * Deterministic seed base for tests: the i-th item made draws
+     * seed seedBase + i (SeedSequence, crypto/prg.h). Zero (the
+     * default) draws each item's seed from the OS entropy source —
+     * the only safe setting when real evaluators connect.
      */
     uint64_t seedBase = 0;
 };
@@ -87,7 +87,8 @@ class ReadyPool
     /** Makes one item from a seed; called concurrently, unlocked. */
     using Maker = std::function<Item(uint64_t seed)>;
 
-    explicit ReadyPool(const PoolOptions &opts = {}) : opts_(opts)
+    explicit ReadyPool(const PoolOptions &opts = {})
+        : opts_(opts), seeds_(opts.seedBase)
     {
         opts_.depth = std::max<size_t>(opts_.depth, 1);
         opts_.threads = std::max<size_t>(opts_.threads, 1);
@@ -165,6 +166,12 @@ class ReadyPool
         work_.notify_all(); // the queue just got needy
         return item;
     }
+
+    /**
+     * A seed for an item a miss makes inline, drawn from the fillers'
+     * own SeedSequence (crypto/prg.h), so it is never one they use.
+     */
+    uint64_t nextSeed() { return seeds_.next(); }
 
     /**
      * Block until every tracked key's queue is full, or its maker
@@ -263,9 +270,7 @@ class ReadyPool
                 return;
 
             ++target->inflight;
-            const uint64_t seed = opts_.seedBase != 0
-                                      ? opts_.seedBase + nextSeedOffset_++
-                                      : randomSeed();
+            const uint64_t seed = seeds_.next();
             // Map nodes are stable and keys are never untracked, so
             // `target` and its immutable maker outlive the unlock.
             lock.unlock();
@@ -298,7 +303,7 @@ class ReadyPool
     uint64_t failed_ = 0;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    uint64_t nextSeedOffset_ = 0;
+    SeedSequence seeds_;
     bool stop_ = false;
     std::vector<std::thread> fillers_; ///< last: they use all of the above
 };

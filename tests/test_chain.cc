@@ -82,7 +82,7 @@ bitsU64(const std::vector<bool> &bits)
 }
 
 /** Both chained sides over loopback; returns {garbler, evaluator}. */
-std::pair<ChainResult, ChainResult>
+std::pair<RemoteResult, RemoteResult>
 runChainPair(const ChainPlan &plan, const std::vector<bool> &gbits,
              const std::vector<bool> &ebits,
              const ComponentProvider &provider,
@@ -91,7 +91,7 @@ runChainPair(const ChainPlan &plan, const std::vector<bool> &gbits,
     auto [gend, eend] = LoopbackTransport::createPair();
     RemoteOptions opts;
     opts.segmentTables = segment_tables;
-    ChainResult gres, eres;
+    RemoteResult gres, eres;
     PeerThread garbler([&, t = std::move(gend)] {
         t->handshake(PeerRole::Garbler);
         gres = runChainGarbler(plan, gbits, *t, provider, opts);
@@ -145,6 +145,11 @@ TEST(ComponentSpec, NameParseRoundTrip)
     // MUL is capped tighter than the rest (quadratic gate count).
     EXPECT_NO_THROW(parseComponentSpec("ADD:512"));
     EXPECT_THROW(parseComponentSpec("MUL:512"), std::invalid_argument);
+    // No wrap at 2^32 and no second spelling of one width.
+    for (const char *spec : {"ADD:4294967328", "MUL:4294967297",
+                             "ADD: 8", "ADD:+8", "ADD:08"})
+        EXPECT_THROW(parseComponentSpec(spec), std::invalid_argument)
+            << spec;
 }
 
 TEST(Component, NetlistsComputeTheirFunction)
@@ -416,7 +421,7 @@ TEST(ChainProtocol, ChainedMatchesMonolithicOnCompositeWorkloads)
                 }
         }
         const uint32_t m = wl.plan.numEvaluatorPorts();
-        for (const ChainResult *r : {&gres, &eres}) {
+        for (const RemoteResult *r : {&gres, &eres}) {
             EXPECT_EQ(r->components, nodes) << spec;
             EXPECT_EQ(r->links, wl.plan.numLinks()) << spec;
             EXPECT_EQ(r->tableBytes,
@@ -516,7 +521,7 @@ TEST(ChainProtocol, BaseOtReusedAcrossChainedSessions)
     gopts.otCache = &gcache;
     eopts.otCache = &ecache;
 
-    ChainResult g1, g2, e1, e2;
+    RemoteResult g1, g2, e1, e2;
     PeerThread garbler([&, t = std::move(gend)] {
         t->handshake(PeerRole::Garbler);
         g1 = runChainGarbler(wl.plan, wl.garblerBits, *t,
@@ -529,7 +534,7 @@ TEST(ChainProtocol, BaseOtReusedAcrossChainedSessions)
     e2 = runChainEvaluator(wl.plan, wl.evaluatorBits, *eend, eopts);
     garbler.join();
 
-    for (const ChainResult *r : {&g1, &e1, &g2, &e2})
+    for (const RemoteResult *r : {&g1, &e1, &g2, &e2})
         EXPECT_EQ(r->outputs, wl.expectedOutputs);
     EXPECT_FALSE(g1.otSetupReused);
     EXPECT_TRUE(g2.otSetupReused);
@@ -666,11 +671,19 @@ TEST(ChainWorkloads, SpecResolutionAndRejection)
                  std::invalid_argument);
     EXPECT_THROW(resolveChainWorkload("ChainProdCmp:512"),
                  std::invalid_argument); // MUL width cap
+    // Widths that would wrap at 2^32 (or respell one) name no circuit:
+    // "ChainProdCmp:4294967328" must not alias ChainProdCmp:32.
+    for (const char *spec :
+         {"ChainProdCmp:4294967328", "ChainMillSum:4294967297",
+          "ChainMillSum:-8", "ChainMillSum: 8", "ChainMillSum:+8",
+          "ChainMillSum:08"})
+        EXPECT_THROW(resolveChainWorkload(spec), std::invalid_argument)
+            << spec;
 }
 
 // ---------------------------------------------------------------------------
 // The serving and session layers on top of the chain protocol:
-// GcServer routes "Chain..." specs into serveChainSession, and a
+// GcServer resolves "Chain..." specs to chained sessions, and a
 // Session carrying a plan runs chained over the remote-gc backend
 // while its local backends run the monolithic equivalent.
 
@@ -697,7 +710,7 @@ TEST(ChainServer, ServesChainSpecsBothRolesWithComponentPool)
         auto [client_end, server_end] = LoopbackTransport::createPair();
         server.submit(std::move(server_end));
         clientHello(*client_end, PeerRole::Evaluator, "ChainMillSum:8");
-        const ChainResult r = runChainEvaluator(
+        const RemoteResult r = runChainEvaluator(
             wl.plan, wl.evaluatorBits, *client_end, {});
         EXPECT_EQ(r.outputs, wl.expectedOutputs);
     }
@@ -706,7 +719,7 @@ TEST(ChainServer, ServesChainSpecsBothRolesWithComponentPool)
         auto [client_end, server_end] = LoopbackTransport::createPair();
         server.submit(std::move(server_end));
         clientHello(*client_end, PeerRole::Garbler, "ChainMillSum:8");
-        const ChainResult r = runChainGarbler(
+        const RemoteResult r = runChainGarbler(
             wl.plan, wl.garblerBits, *client_end,
             freshComponentProvider(), {});
         EXPECT_EQ(r.outputs, wl.expectedOutputs);

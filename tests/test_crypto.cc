@@ -171,6 +171,22 @@ TEST(Prg, RangeIsUnbiasedBounds)
     }
 }
 
+TEST(Prg, SeedSequenceNeverRepeats)
+{
+    // A nonzero base counts up across single draws and reservations.
+    SeedSequence seq(100);
+    EXPECT_EQ(seq.next(), 100u);
+    EXPECT_EQ(seq.next(3), 101u); // 101, 102, 103
+    EXPECT_EQ(seq.next(), 104u);
+
+    // Base 0 draws from OS entropy: no two draws, in one sequence or
+    // two, coincide (a 2^-64 event per pair).
+    SeedSequence a, b;
+    const uint64_t x = a.next();
+    EXPECT_NE(x, a.next());
+    EXPECT_NE(x, b.next());
+}
+
 TEST(HalfGateHash, RekeyedMatchesHasherObject)
 {
     Label x(0xabc, 0xdef);

@@ -8,15 +8,21 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
+#include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "chain/workloads.h"
 #include "circuit/bristol.h"
+#include "gc/instance.h"
 #include "net/loopback.h"
 #include "net/server.h"
+#include "serve/component_pool.h"
+#include "serve/pool.h"
 #include "workloads/priorwork.h"
 
 using namespace haac;
@@ -555,4 +561,341 @@ TEST(GcServer, UploadAndSpecSessionsShareAConnection)
     EXPECT_EQ(totals.sessionsServed, 2u);
     EXPECT_EQ(totals.uploadSessions, 1u);
     EXPECT_EQ(totals.connectionsServed, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Report goldens: one spec, one chain and one upload session per
+// request kind, in both server roles, with and without pools. Each
+// connection runs the three kinds twice, so both the fresh and the
+// reused base-OT path of every kind land in a report.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * A report line with its host-timing fields dropped — the same
+ * VOLATILE set scripts/bench_traj.py strips. The writer's key order
+ * is fixed, so what remains compares as a string.
+ */
+std::string
+normalizedReport(std::string json)
+{
+    static const char *const kVolatile[] = {
+        "host_seconds",       "modeled_seconds",  "seconds",
+        "gates_per_sec",      "wire_bytes_per_sec",
+        "gates_per_second",   "queries_per_second", "endpoint"};
+    for (const char *key : kVolatile) {
+        const std::string pat = "\"" + std::string(key) + "\":";
+        for (size_t at; (at = json.find(pat)) != std::string::npos;) {
+            size_t end = json.find_first_of(",}", at);
+            if (json[end] == ',')
+                ++end; // drop the member and its separator
+            else if (json[at - 1] == ',')
+                --at; // last member: drop the separator before it
+            json.erase(at, end - at);
+        }
+    }
+    return json;
+}
+
+std::string
+totalsLine(const GcServer::Totals &t)
+{
+    std::ostringstream os;
+    os << "served=" << t.sessionsServed << " failed=" << t.sessionsFailed
+       << " conns=" << t.connectionsServed
+       << " payload=" << t.payloadBytes << " gates=" << t.gates
+       << " pool=" << t.poolHits << "/" << t.poolMisses
+       << " ot_reused=" << t.otSetupsReused
+       << " chain=" << t.chainSessions << "/" << t.componentsLinked
+       << "/" << t.componentPoolHits << " link=" << t.linkBytes
+       << " upload=" << t.uploadSessions << "/" << t.uploadsRefused;
+    return os.str();
+}
+
+/**
+ * Serve spec, chain and upload sessions (twice each) on one
+ * connection; the client plays @p client. Returns the normalized
+ * report lines followed by the server's Totals.
+ */
+std::vector<std::string>
+reportGoldenRun(PeerRole client, bool pools)
+{
+    const Workload wl = resolveWorkload("Million:16");
+    const chain::ChainWorkload cw =
+        chain::resolveChainWorkload("ChainMillSum:8");
+    const Netlist up = readBristolString(kCleanBristol);
+
+    serve::PoolOptions popts;
+    popts.depth = 4;
+    serve::GarblePool pool(popts);
+    serve::ComponentPool component_pool(popts);
+    std::ostringstream reports;
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.reports = &reports;
+    if (pools) {
+        pool.track("Million:16", wl.netlist);
+        pool.prewarm();
+        component_pool.trackPlan(cw.plan);
+        component_pool.prewarm();
+        opts.pool = &pool;
+        opts.componentPool = &component_pool;
+    }
+    GcServer server(opts);
+
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    client_end->handshake(client);
+    OtConnectionCache ot;
+    RemoteOptions ropts;
+    ropts.otCache = &ot;
+    const bool garbles = client == PeerRole::Garbler;
+    for (int round = 0; round < 2; ++round) {
+        clientRequest(*client_end, "Million:16");
+        const RemoteResult r =
+            garbles ? runRemoteGarbler(wl.netlist, wl.garblerBits,
+                                       *client_end, 71 + round, ropts)
+                    : runRemoteEvaluator(wl.netlist, wl.evaluatorBits,
+                                         *client_end, ropts);
+        EXPECT_EQ(r.outputs, wl.expectedOutputs);
+
+        clientRequest(*client_end, "ChainMillSum:8");
+        const std::vector<bool> chained =
+            garbles ? chain::runChainGarbler(cw.plan, cw.garblerBits,
+                                             *client_end, 81 + round,
+                                             ropts)
+                          .outputs
+                    : chain::runChainEvaluator(cw.plan, cw.evaluatorBits,
+                                               *client_end, ropts)
+                          .outputs;
+        EXPECT_EQ(chained, cw.expectedOutputs);
+
+        clientUploadRequest(*client_end, kCleanBristol);
+        const RemoteResult u =
+            garbles ? runRemoteGarbler(up, {true}, *client_end,
+                                       91 + round, ropts)
+                    : runRemoteEvaluator(up, {true}, *client_end, ropts);
+        EXPECT_EQ(u.outputs, garbles ? up.evaluate({true}, {false})
+                                     : up.evaluate({false}, {true}));
+    }
+    client_end.reset();
+    server.drain();
+
+    std::vector<std::string> lines;
+    std::istringstream in(reports.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(normalizedReport(line));
+    lines.push_back(totalsLine(server.totals()));
+    return lines;
+}
+
+/**
+ * Compare @p got with block "== @p run" of tests/golden/
+ * server_reports.txt: the report lines and Totals each request kind
+ * must keep, byte for byte, whatever path serves it.
+ */
+void
+expectGolden(const std::vector<std::string> &got, const std::string &run)
+{
+    std::ifstream in(std::string(HAAC_GOLDEN_DIR) + "/server_reports.txt");
+    ASSERT_TRUE(in) << "missing golden file";
+    std::vector<std::string> want;
+    bool in_block = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("== ", 0) == 0)
+            in_block = line == "== " + run;
+        else if (in_block)
+            want.push_back(line);
+    }
+    ASSERT_EQ(got.size(), want.size()) << run;
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], want[i]) << run << " line " << i;
+}
+
+} // namespace
+
+TEST(ServerReports, GoldensWhenTheClientGarbles)
+{
+    expectGolden(reportGoldenRun(PeerRole::Garbler, false),
+                 "client-garbles");
+}
+
+TEST(ServerReports, GoldensWhenTheServerGarbles)
+{
+    expectGolden(reportGoldenRun(PeerRole::Evaluator, false),
+                 "server-garbles");
+}
+
+TEST(ServerReports, GoldensWhenTheServerGarblesFromPools)
+{
+    expectGolden(reportGoldenRun(PeerRole::Evaluator, true),
+                 "server-garbles-pooled");
+}
+
+// ---------------------------------------------------------------------
+// Spec admission and the server's garbling seeds
+// ---------------------------------------------------------------------
+
+TEST(GcServer, RefusesOversizedSpecBeforeSynthesis)
+{
+    // Mult:64 builds 24,067 gates; its 6N^2 bound (24,576) is checked
+    // before synthesis, and the refusal goes back in the ack, exactly
+    // as for an oversized upload. Million:32 (~160) stays served.
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.maxGates = 10000;
+    GcServer server(opts);
+    {
+        auto [client_end, server_end] = LoopbackTransport::createPair();
+        server.submit(std::move(server_end));
+        try {
+            clientHello(*client_end, PeerRole::Garbler, "Mult:64");
+            FAIL() << "an oversized spec was accepted";
+        } catch (const NetError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("Mult:64"), std::string::npos) << what;
+            EXPECT_NE(what.find("at most 10000"), std::string::npos)
+                << what;
+        }
+    }
+    server.drain();
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
+    EXPECT_EQ(server.totals().gates, 0u);
+
+    const Workload wl = resolveWorkload("Million:32");
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    clientHello(*client_end, PeerRole::Garbler, "Million:32");
+    const RemoteResult res =
+        runRemoteGarbler(wl.netlist, wl.garblerBits, *client_end, 5);
+    client_end.reset();
+    server.drain();
+    EXPECT_EQ(res.outputs, wl.expectedOutputs);
+    EXPECT_EQ(server.totals().sessionsServed, 1u);
+    EXPECT_EQ(server.totals().sessionsFailed, 1u);
+}
+
+namespace {
+
+/** A transport end that keeps a copy of every byte it reads. */
+class RecordingTransport : public Transport
+{
+  public:
+    explicit RecordingTransport(std::unique_ptr<Transport> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    void
+    writeAll(const uint8_t *data, size_t n) override
+    {
+        inner_->writeAll(data, n);
+        countSent(n);
+    }
+
+    void
+    readAll(uint8_t *data, size_t n) override
+    {
+        inner_->readAll(data, n);
+        received.insert(received.end(), data, data + n);
+        countReceived(n);
+    }
+
+    std::string describe() const override { return inner_->describe(); }
+
+    std::vector<uint8_t> received;
+
+  private:
+    std::unique_ptr<Transport> inner_;
+};
+
+/**
+ * Evaluate @p specs in order on one connection to a server with
+ * @p opts; return every byte the client received.
+ */
+std::vector<uint8_t>
+evaluateAgainst(const ServerOptions &opts,
+                const std::vector<std::string> &specs)
+{
+    GcServer server(opts);
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    RecordingTransport client(std::move(client_end));
+    client.handshake(PeerRole::Evaluator);
+    OtConnectionCache ot;
+    RemoteOptions ropts;
+    ropts.otCache = &ot;
+    for (const std::string &spec : specs) {
+        clientRequest(client, spec);
+        if (chain::isChainSpec(spec)) {
+            const chain::ChainWorkload cw =
+                chain::resolveChainWorkload(spec);
+            EXPECT_EQ(chain::runChainEvaluator(cw.plan, cw.evaluatorBits,
+                                               client, ropts)
+                          .outputs,
+                      cw.expectedOutputs);
+        } else {
+            const Workload wl = resolveWorkload(spec);
+            EXPECT_EQ(runRemoteEvaluator(wl.netlist, wl.evaluatorBits,
+                                         client, ropts)
+                          .outputs,
+                      wl.expectedOutputs);
+        }
+    }
+    std::vector<uint8_t> received = std::move(client.received);
+    return received;
+}
+
+/** Whether the garbler-input labels of @p wl garbled under @p seed
+ *  appear in @p bytes. */
+bool
+labelsAppear(const std::vector<uint8_t> &bytes, const Workload &wl,
+             uint64_t seed)
+{
+    const GarbledInstance inst = captureGarbling(wl.netlist, seed);
+    for (uint32_t i = 0; i < wl.netlist.numGarblerInputs; ++i) {
+        uint8_t label[16];
+        inst.activeLabel(i, wl.garblerBits[i]).toBytes(label);
+        if (std::search(bytes.begin(), bytes.end(), label, label + 16) ==
+            bytes.end())
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+TEST(GcServerSeeds, DefaultServerLabelsAreNotRecomputable)
+{
+    // The evaluating client receives the server's garbler-input
+    // labels. A default server must garble from OS entropy: whatever
+    // public default seed rule a client assumes, it must not be able
+    // to recompute those labels (and with them the offset R).
+    const Workload wl = resolveWorkload("Million:16");
+    ServerOptions opts;
+    opts.threads = 1;
+    const std::vector<uint8_t> bytes =
+        evaluateAgainst(opts, {"Million:16"});
+    EXPECT_FALSE(labelsAppear(bytes, wl, ServerOptions{}.seedBase));
+    EXPECT_FALSE(labelsAppear(bytes, wl, ServerOptions{}.seedBase + 1));
+
+    // Two default servers never garble the same session alike.
+    EXPECT_NE(bytes, evaluateAgainst(opts, {"Million:16"}));
+}
+
+TEST(GcServerSeeds, NonzeroSeedIsOneSequenceAcrossSessionsAndChainNodes)
+{
+    // With a nonzero base the server's inline garblings draw base,
+    // base + 1, ... in order: a chain session reserves one seed per
+    // node, so the spec session after a 3-node chain garbles under
+    // base + 4 — never a seed an earlier garbling used.
+    const Workload wl = resolveWorkload("Million:16");
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.seedBase = 1000;
+    const std::vector<uint8_t> bytes = evaluateAgainst(
+        opts, {"Million:16", "ChainMillSum:8", "Million:16"});
+    EXPECT_TRUE(labelsAppear(bytes, wl, 1000));
+    EXPECT_TRUE(labelsAppear(bytes, wl, 1004));
 }

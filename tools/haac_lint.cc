@@ -21,10 +21,8 @@
  * unreadable file, 2 on a usage error — the contract CI relies on.
  */
 #include <algorithm>
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -42,6 +40,8 @@
 #include "core/sim/config.h"
 #include "shard/partition.h"
 #include "workloads/vip.h"
+
+#include "cli_args.h"
 
 namespace {
 
@@ -99,21 +99,6 @@ usageError(const std::string &msg)
 {
     std::cerr << "haac_lint: " << msg << "\n";
     std::exit(2);
-}
-
-/** Parse a numeric flag's argument; anything outside [lo, hi] exits 2. */
-uint32_t
-parseCount(const char *flag, const char *text, uint32_t lo, uint32_t hi)
-{
-    uint64_t v = 0;
-    const char *end = text + std::strlen(text);
-    const auto [stop, ec] = std::from_chars(text, end, v);
-    if (ec != std::errc() || stop != end || *text == '\0' || v < lo ||
-        v > hi)
-        usageError(std::string(flag) + " expects an integer in [" +
-                   std::to_string(lo) + ", " + std::to_string(hi) +
-                   "], not '" + text + "'");
-    return uint32_t(v);
 }
 
 struct Options
@@ -425,9 +410,9 @@ main(int argc, char **argv)
         } else if (a == "--sww-wires") {
             // 1 wire has no half-window to slide by; the cap is far
             // past any workload's address space.
-            opt.swwWires =
-                parseCount("--sww-wires", need(i, "--sww-wires"), 0,
-                           1u << 24);
+            opt.swwWires = uint32_t(parseCount(
+                "haac_lint", "--sww-wires", need(i, "--sww-wires"), 0,
+                1u << 24));
             if (opt.swwWires == 1)
                 usageError("--sww-wires must be 0 or at least 2");
             opt.swwGiven = true;
@@ -435,10 +420,11 @@ main(int argc, char **argv)
             opt.streams = true;
         } else if (a == "--shards") {
             // Shard ids are 8-bit (ShardManifest::shardOfInstr).
-            opt.shards = parseCount("--shards", need(i, "--shards"), 0,
-                                    255);
+            opt.shards = uint32_t(parseCount(
+                "haac_lint", "--shards", need(i, "--shards"), 0, 255));
         } else if (a == "--ges") {
-            opt.ges = parseCount("--ges", need(i, "--ges"), 1, 255);
+            opt.ges = uint32_t(
+                parseCount("haac_lint", "--ges", need(i, "--ges"), 1, 255));
         } else if (a == "--reorder") {
             const std::string k = need(i, "--reorder");
             if (k == "baseline")

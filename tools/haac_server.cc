@@ -21,8 +21,8 @@
 #include <atomic>
 #include <csignal>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -34,11 +34,21 @@
 #include "serve/component_pool.h"
 #include "serve/pool.h"
 
+#include "cli_args.h"
+
 using namespace haac;
 
 namespace {
 
 TcpListener *g_listener = nullptr;
+
+/** @name Flag bounds, checked before any thread or socket starts */
+/// @{
+constexpr uint64_t kMaxThreads = 1024;
+/** Tables per segment frame: 2^20 tables is a 32 MiB frame. */
+constexpr uint64_t kMaxSegment = 1u << 20;
+constexpr uint64_t kMaxPoolDepth = 1u << 16;
+/// @}
 
 void
 onSignal(int)
@@ -59,8 +69,10 @@ usage(const char *argv0)
         "until SIGINT)\n"
         "  --segment N      garbled tables per stream segment "
         "(default 1024)\n"
-        "  --seed N         garbling seed base (session i uses "
-        "seed+i)\n"
+        "  --seed N         deterministic inline garbling seeds N, "
+        "N+1, ... across sessions\n"
+        "                   and chain nodes, for tests only (default "
+        "0 = OS entropy per garbling)\n"
         "  --pool-depth N   keep N pre-garbled instances ready per "
         "workload (default 0 = garble inline)\n"
         "  --pool-threads N background garbling threads (default 1)\n"
@@ -75,8 +87,9 @@ usage(const char *argv0)
         "and fill their queues before\n"
         "                   accepting (e.g. ChainProdCmp:32; repeat "
         "for more; needs --component-pool)\n"
-        "  --max-gates N    admission cap for uploaded netlists "
-        "(default 4194304)\n"
+        "  --max-gates N    admission cap on the gates of any "
+        "requested circuit: specs,\n"
+        "                   chains and uploads (default 4194304)\n"
         "  --no-ot-cache    run the base-OT phase every session "
         "instead of once per connection\n"
         "  --report-file F  append per-session RunReport JSON lines "
@@ -120,40 +133,34 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--port") {
-            const unsigned long v = std::strtoul(value(), nullptr, 10);
-            if (v > 65535) {
-                std::fprintf(stderr, "--port must be <= 65535\n");
-                return 2;
-            }
-            port = uint16_t(v);
-        }
+        auto count = [&](uint64_t lo, uint64_t hi) {
+            return parseCount("haac_server", arg.c_str(), value(), lo,
+                              hi);
+        };
+        if (arg == "--port")
+            port = uint16_t(count(0, 65535));
         else if (arg == "--bind")
             bind_host = value();
         else if (arg == "--threads")
-            opts.threads = uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.threads = uint32_t(count(1, kMaxThreads));
         else if (arg == "--sessions")
-            max_sessions = std::strtoull(value(), nullptr, 10);
+            max_sessions = count(0, UINT64_MAX);
         else if (arg == "--segment")
-            opts.segmentTables =
-                uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.segmentTables = uint32_t(count(1, kMaxSegment));
         else if (arg == "--seed")
-            opts.seedBase = std::strtoull(value(), nullptr, 10);
+            opts.seedBase = count(0, UINT64_MAX);
         else if (arg == "--pool-depth")
-            pool_depth = size_t(std::strtoull(value(), nullptr, 10));
+            pool_depth = size_t(count(0, kMaxPoolDepth));
         else if (arg == "--pool-threads")
-            pool_threads = size_t(std::strtoull(value(), nullptr, 10));
+            pool_threads = size_t(count(1, kMaxThreads));
         else if (arg == "--pool-low-water")
-            pool_low_water =
-                size_t(std::strtoull(value(), nullptr, 10));
+            pool_low_water = size_t(count(0, kMaxPoolDepth));
         else if (arg == "--component-pool")
-            component_pool_depth =
-                size_t(std::strtoull(value(), nullptr, 10));
+            component_pool_depth = size_t(count(0, kMaxPoolDepth));
         else if (arg == "--chain-prewarm")
             chain_prewarm.push_back(value());
         else if (arg == "--max-gates")
-            opts.maxGates =
-                uint32_t(std::strtoul(value(), nullptr, 10));
+            opts.maxGates = uint32_t(count(1, UINT32_MAX));
         else if (arg == "--no-ot-cache")
             opts.cacheBaseOt = false;
         else if (arg == "--report-file")
