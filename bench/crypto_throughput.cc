@@ -4,13 +4,17 @@
  * the paper's §2.1 ablation: re-keying vs fixed-key Half-Gate cost
  * (the paper measures re-keying as +27.5%). The re-keyed benchmarks
  * run the gate kernel's default policy, the fused hash the protocols
- * use, and BM_RekeyedOverFixedKey reports the ratio itself.
+ * use, and BM_RekeyedOverFixedKey reports the ratio itself. The
+ * BM_Ec* benchmarks time the base-OT group: each scalar multiply shape
+ * and batched point compression.
  */
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <vector>
 
 #include "crypto/aes128.h"
+#include "crypto/curve25519.h"
 #include "crypto/gf128.h"
 #include "crypto/hash.h"
 #include "crypto/prg.h"
@@ -196,6 +200,83 @@ BM_PrgNextLabel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PrgNextLabel);
+
+/** 64 seeded scalars, cycled so no two neighbouring calls repeat one. */
+std::vector<ec::Scalar>
+someScalars()
+{
+    Prg rng(0xec);
+    std::vector<ec::Scalar> ks(64);
+    for (auto &k : ks)
+        k = ec::randomScalar(rng);
+    return ks;
+}
+
+/** A point with no precomputed comb. */
+ec::Point
+somePoint()
+{
+    Prg rng(0xec1);
+    return ec::Point::mul(ec::randomScalar(rng), ec::Point::base());
+}
+
+/** x*B through the process-wide comb of B. */
+void
+BM_EcMulBase(benchmark::State &state)
+{
+    const std::vector<ec::Scalar> ks = someScalars();
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ec::Comb::base().mul(ks[i++ % ks.size()]));
+}
+BENCHMARK(BM_EcMulBase)->Unit(benchmark::kMicrosecond);
+
+/** Variable-base k*P (the fixed-window ladder). */
+void
+BM_EcMul(benchmark::State &state)
+{
+    const std::vector<ec::Scalar> ks = someScalars();
+    const ec::Point p = somePoint();
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ec::Point::mul(ks[i++ % ks.size()], p));
+}
+BENCHMARK(BM_EcMul)->Unit(benchmark::kMicrosecond);
+
+/** k*P through a comb of a non-base point; the build is not timed. */
+void
+BM_EcMulTable(benchmark::State &state)
+{
+    const std::vector<ec::Scalar> ks = someScalars();
+    const ec::Comb comb(somePoint());
+    size_t i = 0;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(comb.mul(ks[i++ % ks.size()]));
+}
+BENCHMARK(BM_EcMulTable)->Unit(benchmark::kMicrosecond);
+
+/** Point compression in batches of 256; reports time per point. */
+void
+BM_EcBatchToBytes(benchmark::State &state)
+{
+    constexpr size_t kBatch = 256;
+    const std::vector<ec::Scalar> ks = someScalars();
+    const ec::Point p = somePoint();
+    std::vector<ec::Point> points(kBatch);
+    for (size_t i = 0; i < kBatch; ++i)
+        points[i] = ec::Point::mul(ks[i % ks.size()], p).add(
+            ec::Point::base());
+    std::vector<uint8_t> out(kBatch * ec::kPointBytes);
+    for (auto _ : state) {
+        ec::Point::batchToBytes(points.data(), kBatch, out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["per_point"] = benchmark::Counter(
+        double(kBatch), benchmark::Counter::kIsIterationInvariantRate |
+                            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_EcBatchToBytes)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace haac

@@ -1,6 +1,7 @@
 #include "crypto/curve25519.h"
 
 #include <cstring>
+#include <vector>
 
 namespace haac {
 namespace ec {
@@ -33,6 +34,10 @@ constexpr u64 kBaseT[5] = {0x68ab3a5b7dda3ull, 0x00eea2a5eadbbull,
                            0x2af8df483c27eull, 0x332b375274732ull,
                            0x67875f0fd78b7ull};
 
+// Limb bounds: every feMul/feSq/feSub output is under 2^51 + 2^13;
+// feAdd leaves sums of two or three of those, and feMul/feSq accept
+// inputs up to 2^54 without overflowing their 128-bit accumulators.
+
 void
 feZero(u64 out[5])
 {
@@ -59,18 +64,6 @@ feAdd(u64 out[5], const u64 a[5], const u64 b[5])
         out[i] = a[i] + b[i];
 }
 
-/** out = a - b, with a 2p bias so limbs never underflow. */
-void
-feSub(u64 out[5], const u64 a[5], const u64 b[5])
-{
-    // 2p in radix-51: limb0 = 2^52-38, limbs 1..4 = 2^52-2.
-    out[0] = a[0] + 0xfffffffffffdaull - b[0];
-    out[1] = a[1] + 0xffffffffffffeull - b[1];
-    out[2] = a[2] + 0xffffffffffffeull - b[2];
-    out[3] = a[3] + 0xffffffffffffeull - b[3];
-    out[4] = a[4] + 0xffffffffffffeull - b[4];
-}
-
 /** Carry limbs back under 2^51 (+epsilon); keeps values loosely reduced. */
 void
 feCarry(u64 a[5])
@@ -84,21 +77,26 @@ feCarry(u64 a[5])
     c = a[0] >> 51; a[0] &= kMask51; a[1] += c;
 }
 
+/**
+ * out = a - b, carried. A 4p bias keeps limbs from underflowing for
+ * any b up to 2^53 (a sum of two reduced values).
+ */
 void
-feMul(u64 out[5], const u64 a[5], const u64 b[5])
+feSub(u64 out[5], const u64 a[5], const u64 b[5])
 {
-    const u128 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
-    const u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3], b4 = b[4];
-    // 19-fold the limb products that wrap past 2^255.
-    const u64 b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3,
-              b4_19 = 19 * b4;
+    // 4p in radix-51: limb0 = 2^53-76, limbs 1..4 = 2^53-4.
+    out[0] = a[0] + 0x1fffffffffffb4ull - b[0];
+    out[1] = a[1] + 0x1ffffffffffffcull - b[1];
+    out[2] = a[2] + 0x1ffffffffffffcull - b[2];
+    out[3] = a[3] + 0x1ffffffffffffcull - b[3];
+    out[4] = a[4] + 0x1ffffffffffffcull - b[4];
+    feCarry(out);
+}
 
-    u128 r0 = a0 * b0 + a1 * b4_19 + a2 * b3_19 + a3 * b2_19 + a4 * b1_19;
-    u128 r1 = a0 * b1 + a1 * b0 + a2 * b4_19 + a3 * b3_19 + a4 * b2_19;
-    u128 r2 = a0 * b2 + a1 * b1 + a2 * b0 + a3 * b4_19 + a4 * b3_19;
-    u128 r3 = a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0 + a4 * b4_19;
-    u128 r4 = a0 * b4 + a1 * b3 + a2 * b2 + a3 * b1 + a4 * b0;
-
+/** Fold five 128-bit column sums back into 51-bit limbs. */
+void
+feReduce(u64 out[5], u128 r0, u128 r1, u128 r2, u128 r3, u128 r4)
+{
     u64 c;
     u64 t0 = u64(r0) & kMask51; c = u64(r0 >> 51);
     r1 += c;
@@ -116,10 +114,52 @@ feMul(u64 out[5], const u64 a[5], const u64 b[5])
     out[0] = t0; out[1] = t1; out[2] = t2; out[3] = t3; out[4] = t4;
 }
 
+/** The full 128-bit product of two limbs: one 64x64 multiply. */
+u128
+limbMul(u64 a, u64 b)
+{
+    return u128(a) * b;
+}
+
+void
+feMul(u64 out[5], const u64 a[5], const u64 b[5])
+{
+    const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+    const u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3], b4 = b[4];
+    // 19-fold the limb products that wrap past 2^255.
+    const u64 b1_19 = 19 * b1, b2_19 = 19 * b2, b3_19 = 19 * b3,
+              b4_19 = 19 * b4;
+
+    feReduce(out,
+             limbMul(a0, b0) + limbMul(a1, b4_19) + limbMul(a2, b3_19) +
+                 limbMul(a3, b2_19) + limbMul(a4, b1_19),
+             limbMul(a0, b1) + limbMul(a1, b0) + limbMul(a2, b4_19) +
+                 limbMul(a3, b3_19) + limbMul(a4, b2_19),
+             limbMul(a0, b2) + limbMul(a1, b1) + limbMul(a2, b0) +
+                 limbMul(a3, b4_19) + limbMul(a4, b3_19),
+             limbMul(a0, b3) + limbMul(a1, b2) + limbMul(a2, b1) +
+                 limbMul(a3, b0) + limbMul(a4, b4_19),
+             limbMul(a0, b4) + limbMul(a1, b3) + limbMul(a2, b2) +
+                 limbMul(a3, b1) + limbMul(a4, b0));
+}
+
+/**
+ * out = a^2: the 15 distinct limb products of feMul(a, a). Doubled
+ * and 19-folded limbs stay under 2^64 for inputs under 2^54.
+ */
 void
 feSq(u64 out[5], const u64 a[5])
 {
-    feMul(out, a, a);
+    const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
+    const u64 d0 = 2 * a0, d1 = 2 * a1, d2 = 2 * a2, d3 = 2 * a3;
+    const u64 a3_19 = 19 * a3, a4_19 = 19 * a4;
+
+    feReduce(out,
+             limbMul(a0, a0) + limbMul(d1, a4_19) + limbMul(d2, a3_19),
+             limbMul(d0, a1) + limbMul(d2, a4_19) + limbMul(a3, a3_19),
+             limbMul(d0, a2) + limbMul(a1, a1) + limbMul(d3, a4_19),
+             limbMul(d0, a3) + limbMul(d1, a2) + limbMul(a4, a4_19),
+             limbMul(d0, a4) + limbMul(d1, a3) + limbMul(a2, a2));
 }
 
 /** out = a^(2^count) by repeated squaring. */
@@ -169,6 +209,31 @@ feInvert(u64 out[5], const u64 a[5])
     fePow250m1(t1, a, t0);        // a^(2^250-1), t0 = a^11
     feSqN(t1, t1, 5);             // 2^255 - 2^5
     feMul(out, t1, t0);           // 2^255 - 21 = p - 2
+}
+
+/**
+ * Invert the @p count field elements stored back to back at @p z
+ * (5 limbs each) with one feInvert: Montgomery's trick. None may be
+ * zero; a point's Z never is.
+ */
+void
+feBatchInvert(u64 *z, size_t count)
+{
+    if (count == 0)
+        return;
+    std::vector<u64> prefix(5 * count); // prefix[i] = z_0 * ... * z_i
+    feCopy(&prefix[0], z);
+    for (size_t i = 1; i < count; ++i)
+        feMul(&prefix[5 * i], &prefix[5 * (i - 1)], z + 5 * i);
+    u64 inv[5];
+    feInvert(inv, &prefix[5 * (count - 1)]);
+    for (size_t i = count - 1; i > 0; --i) {
+        u64 zi[5];
+        feMul(zi, inv, &prefix[5 * (i - 1)]); // 1 / z_i
+        feMul(inv, inv, z + 5 * i);           // 1 / (z_0 ... z_{i-1})
+        feCopy(z + 5 * i, zi);
+    }
+    feCopy(z, inv);
 }
 
 /** out = a^((p-5)/8) = a^(2^252 - 3), the decompression root helper. */
@@ -253,10 +318,371 @@ feNeg(u64 out[5], const u64 a[5])
     u64 zero[5];
     feZero(zero);
     feSub(out, zero, a);
-    feCarry(out);
+}
+
+/**
+ * All ones when @p bit (0 or 1) is set, else zero. The empty asm hides
+ * the value from the optimizer, so no masked select below can be
+ * turned back into a branch on a secret.
+ */
+u64
+maskOf(u64 bit)
+{
+    u64 mask = 0 - bit;
+    __asm__("" : "+r"(mask));
+    return mask;
+}
+
+/** maskOf(a == b) for small @p a, @p b, without a comparison. */
+u64
+eqMask(u64 a, u64 b)
+{
+    return maskOf(((a ^ b) - 1) >> 63);
+}
+
+/** out = mask ? in : out, limb by limb. */
+void
+feCmov(u64 out[5], const u64 in[5], u64 mask)
+{
+    for (int i = 0; i < 5; ++i)
+        out[i] ^= mask & (out[i] ^ in[i]);
+}
+
+/**
+ * Signed radix-16 digits of @p k, branch-free: e[0..63] in [-8, 7] and
+ * a final carry e[64] in {0, 1}, so k = sum e[i] * 16^i for any
+ * 256-bit k.
+ */
+void
+recode(int8_t e[65], const Scalar &k)
+{
+    for (int i = 0; i < 32; ++i) {
+        e[2 * i] = int8_t(k.bytes[i] & 15);
+        e[2 * i + 1] = int8_t(k.bytes[i] >> 4);
+    }
+    int carry = 0;
+    for (int i = 0; i < 64; ++i) {
+        const int d = e[i] + carry; // 0..16
+        carry = (d + 8) >> 4;
+        e[i] = int8_t(d - 16 * carry);
+    }
+    e[64] = int8_t(carry);
+}
+
+/** The sign (1 when negative) and magnitude of a signed digit. */
+u64
+digitSign(int8_t d)
+{
+    return u64(int64_t(d)) >> 63;
+}
+
+u64
+digitAbs(int8_t d)
+{
+    const int64_t v = d;
+    return u64(v - (-int64_t(digitSign(d)) & (2 * v)));
 }
 
 } // namespace
+
+/**
+ * The point formulas: the shapes of ref10 (Bernstein et al.), over
+ * this file's field. A sum or double is first produced in completed
+ * form, then projected to just the coordinates the next step reads.
+ */
+struct Curve
+{
+    using Niels = Comb::Niels;
+
+    /** Projective (X:Y:Z), x = X/Z, y = Y/Z: all a doubling reads. */
+    struct Proj
+    {
+        u64 X[5], Y[5], Z[5];
+    };
+
+    /** Completed ((X:Z), (Y:T)), x = X/Z, y = Y/T. */
+    struct Completed
+    {
+        u64 X[5], Y[5], Z[5], T[5];
+    };
+
+    /** An extended point prepared as an addend: (Y+X, Y-X, Z, 2dT). */
+    struct Cached
+    {
+        u64 yPlusX[5], yMinusX[5], Z[5], t2d[5];
+    };
+
+    static void
+    toProj(Proj &r, const Completed &p)
+    {
+        feMul(r.X, p.X, p.T);
+        feMul(r.Y, p.Y, p.Z);
+        feMul(r.Z, p.Z, p.T);
+    }
+
+    static void
+    toExt(Point &r, const Completed &p)
+    {
+        feMul(r.X_, p.X, p.T);
+        feMul(r.Y_, p.Y, p.Z);
+        feMul(r.Z_, p.Z, p.T);
+        feMul(r.T_, p.X, p.Y);
+    }
+
+    /** 2(X:Y:Z) (RFC 8032 §5.1.4 doubling; reads no T). */
+    static void
+    dbl(Completed &r, const u64 X[5], const u64 Y[5], const u64 Z[5])
+    {
+        u64 t[5];
+        feSq(r.X, X);             // XX
+        feSq(r.Z, Y);             // YY
+        feSq(r.T, Z);
+        feAdd(r.T, r.T, r.T);     // 2 ZZ
+        feAdd(t, X, Y);
+        feSq(t, t);               // (X+Y)^2
+        feAdd(r.Y, r.Z, r.X);     // YY + XX
+        feSub(r.Z, r.Z, r.X);     // YY - XX
+        feSub(r.X, t, r.Y);       // 2XY
+        feSub(r.T, r.T, r.Z);     // 2ZZ - (YY - XX)
+    }
+
+    /** r = 2^count * p, count >= 1, without T in between. */
+    static void
+    dblN(Point &r, const Point &p, int count)
+    {
+        Completed c;
+        Proj q;
+        dbl(c, p.X_, p.Y_, p.Z_);
+        for (int i = 1; i < count; ++i) {
+            toProj(q, c);
+            dbl(c, q.X, q.Y, q.Z);
+        }
+        toExt(r, c);
+    }
+
+    /** Complete addition p + q (RFC 8032 §5.1.4), q cached. */
+    static void
+    add(Completed &r, const Point &p, const Cached &q)
+    {
+        u64 t[5];
+        feAdd(r.X, p.Y_, p.X_);
+        feSub(r.Y, p.Y_, p.X_);
+        feMul(r.Z, r.X, q.yPlusX);   // B = (Y1+X1)(Y2+X2)
+        feMul(r.Y, r.Y, q.yMinusX);  // A = (Y1-X1)(Y2-X2)
+        feMul(r.T, p.T_, q.t2d);     // C = 2d T1 T2
+        feMul(t, p.Z_, q.Z);
+        feAdd(t, t, t);              // D = 2 Z1 Z2
+        feSub(r.X, r.Z, r.Y);        // E = B - A
+        feAdd(r.Y, r.Z, r.Y);        // H = B + A
+        feAdd(r.Z, t, r.T);          // G = D + C
+        feSub(r.T, t, r.T);          // F = D - C
+    }
+
+    /** The same with an affine addend (Z2 = 1). */
+    static void
+    madd(Completed &r, const Point &p, const Niels &q)
+    {
+        u64 t[5];
+        feAdd(r.X, p.Y_, p.X_);
+        feSub(r.Y, p.Y_, p.X_);
+        feMul(r.Z, r.X, q.yPlusX);
+        feMul(r.Y, r.Y, q.yMinusX);
+        feMul(r.T, p.T_, q.xy2d);
+        feAdd(t, p.Z_, p.Z_);
+        feSub(r.X, r.Z, r.Y);
+        feAdd(r.Y, r.Z, r.Y);
+        feAdd(r.Z, t, r.T);
+        feSub(r.T, t, r.T);
+    }
+
+    static void
+    cache(Cached &r, const Point &p)
+    {
+        feAdd(r.yPlusX, p.Y_, p.X_);
+        feSub(r.yMinusX, p.Y_, p.X_);
+        feCopy(r.Z, p.Z_);
+        feMul(r.t2d, p.T_, kD2);
+    }
+
+    /** -(x, y) = (-x, y): swap Y+X with Y-X and negate the T term. */
+    static void
+    negate(Cached &r, const Cached &p)
+    {
+        feCopy(r.yPlusX, p.yMinusX);
+        feCopy(r.yMinusX, p.yPlusX);
+        feCopy(r.Z, p.Z);
+        feNeg(r.t2d, p.t2d);
+    }
+
+    static void
+    negate(Niels &r, const Niels &p)
+    {
+        feCopy(r.yPlusX, p.yMinusX);
+        feCopy(r.yMinusX, p.yPlusX);
+        feNeg(r.xy2d, p.xy2d);
+    }
+
+    static void
+    cmov(Point &r, const Point &p, u64 mask)
+    {
+        feCmov(r.X_, p.X_, mask);
+        feCmov(r.Y_, p.Y_, mask);
+        feCmov(r.Z_, p.Z_, mask);
+        feCmov(r.T_, p.T_, mask);
+    }
+
+    static void
+    cmov(Cached &r, const Cached &p, u64 mask)
+    {
+        feCmov(r.yPlusX, p.yPlusX, mask);
+        feCmov(r.yMinusX, p.yMinusX, mask);
+        feCmov(r.Z, p.Z, mask);
+        feCmov(r.t2d, p.t2d, mask);
+    }
+
+    static void
+    cmov(Niels &r, const Niels &p, u64 mask)
+    {
+        feCmov(r.yPlusX, p.yPlusX, mask);
+        feCmov(r.yMinusX, p.yMinusX, mask);
+        feCmov(r.xy2d, p.xy2d, mask);
+    }
+
+    static void
+    identity(Cached &r)
+    {
+        feOne(r.yPlusX);
+        feOne(r.yMinusX);
+        feOne(r.Z);
+        feZero(r.t2d);
+    }
+
+    static void
+    identity(Niels &r)
+    {
+        feOne(r.yPlusX);
+        feOne(r.yMinusX);
+        feZero(r.xy2d);
+    }
+
+    /**
+     * r = digit * P from row[j] = (j+1) * P, for a digit in [-8, 8]:
+     * every entry is read and masked in, then the result is negated
+     * under a mask. No load or branch depends on the digit.
+     */
+    template <typename Entry>
+    static void
+    select(Entry &r, const Entry row[8], int8_t digit)
+    {
+        const u64 mag = digitAbs(digit);
+        identity(r);
+        for (u64 j = 0; j < 8; ++j)
+            cmov(r, row[j], eqMask(mag, j + 1));
+        Entry neg;
+        negate(neg, r);
+        cmov(r, neg, maskOf(digitSign(digit)));
+    }
+
+    /** The signed 4-bit fixed window behind Point::mul. */
+    static Point
+    ladder(const Scalar &k, const Point &p)
+    {
+        Cached table[8]; // (j+1) * p
+        Completed c;
+        Point m;
+        cache(table[0], p);
+        dblN(m, p, 1);
+        cache(table[1], m);
+        for (int j = 2; j < 8; ++j) {
+            add(c, p, table[j - 1]);
+            toExt(m, c);
+            cache(table[j], m);
+        }
+
+        int8_t e[65];
+        recode(e, k);
+        Point h;
+        Cached t;
+        select(t, table, e[64]);
+        add(c, h, t);
+        toExt(h, c);
+        for (int i = 63; i >= 0; --i) {
+            dblN(h, h, 4);
+            select(t, table, e[i]);
+            add(c, h, t);
+            toExt(h, c);
+        }
+        return h;
+    }
+
+    /** Fill @p comb with the multiples of @p p it holds. */
+    static void
+    build(Comb &comb, const Point &p)
+    {
+        // 257 extended points: row r entry j is (j+1) * 256^r * p, the
+        // last is 256^32 * p = 2^256 * p.
+        std::vector<Point> pts(32 * 8 + 1);
+        Point b = p;
+        Cached cb;
+        Completed c;
+        for (size_t r = 0; r < 32; ++r) {
+            Point *row = &pts[8 * r];
+            row[0] = b;
+            cache(cb, b);
+            dblN(row[1], b, 1);
+            for (int j = 2; j < 8; ++j) {
+                add(c, row[j - 1], cb);
+                toExt(row[j], c);
+            }
+            dblN(b, row[7], 5); // 32 * 8b = 256b
+        }
+        pts.back() = b;
+
+        // One inversion makes all 257 affine.
+        std::vector<u64> zinv(5 * pts.size());
+        for (size_t i = 0; i < pts.size(); ++i)
+            feCopy(&zinv[5 * i], pts[i].Z_);
+        feBatchInvert(zinv.data(), pts.size());
+        comb.rows_.resize(32 * 8);
+        for (size_t i = 0; i < pts.size(); ++i) {
+            Niels &n = i < comb.rows_.size() ? comb.rows_[i] : comb.top_;
+            u64 x[5], y[5];
+            feMul(x, pts[i].X_, &zinv[5 * i]);
+            feMul(y, pts[i].Y_, &zinv[5 * i]);
+            feAdd(n.yPlusX, y, x);
+            feSub(n.yMinusX, y, x);
+            feMul(n.xy2d, x, y);
+            feMul(n.xy2d, n.xy2d, kD2);
+        }
+    }
+
+    /** The comb walk behind Comb::mul: odd digits, x16, even digits. */
+    static Point
+    combMul(const Comb &comb, const Scalar &k)
+    {
+        int8_t e[65];
+        recode(e, k);
+        Point h;
+        Completed c;
+        Niels t;
+        for (int i = 1; i < 64; i += 2) {
+            select(t, &comb.rows_[8 * (i / 2)], e[i]);
+            madd(c, h, t);
+            toExt(h, c);
+        }
+        dblN(h, h, 4);
+        for (int i = 0; i < 64; i += 2) {
+            select(t, &comb.rows_[8 * (i / 2)], e[i]);
+            madd(c, h, t);
+            toExt(h, c);
+        }
+        identity(t);
+        cmov(t, comb.top_, maskOf(u64(e[64])));
+        madd(c, h, t);
+        toExt(h, c);
+        return h;
+    }
+};
 
 Scalar
 randomScalar(Prg &rng)
@@ -272,10 +698,10 @@ randomScalar(Prg &rng)
 
 Point::Point()
 {
-    feZero(X_.v);
-    feOne(Y_.v);
-    feOne(Z_.v);
-    feZero(T_.v);
+    feZero(X_);
+    feOne(Y_);
+    feOne(Z_);
+    feZero(T_);
 }
 
 const Point &
@@ -283,10 +709,10 @@ Point::base()
 {
     static const Point b = [] {
         Point p;
-        feCopy(p.X_.v, kBaseX);
-        feCopy(p.Y_.v, kBaseY);
-        feOne(p.Z_.v);
-        feCopy(p.T_.v, kBaseT);
+        feCopy(p.X_, kBaseX);
+        feCopy(p.Y_, kBaseY);
+        feOne(p.Z_);
+        feCopy(p.T_, kBaseT);
         return p;
     }();
     return b;
@@ -295,94 +721,71 @@ Point::base()
 Point
 Point::add(const Point &o) const
 {
-    // Complete extended-coordinate addition (RFC 8032 §5.1.4).
+    Curve::Cached q;
+    Curve::cache(q, o);
+    Curve::Completed c;
+    Curve::add(c, *this, q);
     Point r;
-    u64 a[5], b[5], c[5], d[5], e[5], f[5], g[5], h[5], t[5];
-    feSub(a, Y_.v, X_.v);
-    feCarry(a);
-    feSub(t, o.Y_.v, o.X_.v);
-    feCarry(t);
-    feMul(a, a, t);               // A = (Y1-X1)(Y2-X2)
-    feAdd(b, Y_.v, X_.v);
-    feAdd(t, o.Y_.v, o.X_.v);
-    feMul(b, b, t);               // B = (Y1+X1)(Y2+X2)
-    feMul(c, T_.v, kD2);
-    feMul(c, c, o.T_.v);          // C = 2d T1 T2
-    feMul(d, Z_.v, o.Z_.v);
-    feAdd(d, d, d);               // D = 2 Z1 Z2
-    feSub(e, b, a);
-    feCarry(e);                   // E = B - A
-    feSub(f, d, c);
-    feCarry(f);                   // F = D - C
-    feAdd(g, d, c);               // G = D + C
-    feAdd(h, b, a);               // H = B + A
-    feMul(r.X_.v, e, f);
-    feMul(r.Y_.v, g, h);
-    feMul(r.T_.v, e, h);
-    feMul(r.Z_.v, f, g);
+    Curve::toExt(r, c);
     return r;
 }
 
 Point
 Point::sub(const Point &o) const
 {
-    Point neg = o;
-    feNeg(neg.X_.v, o.X_.v);
-    feNeg(neg.T_.v, o.T_.v);
-    return add(neg);
+    Curve::Cached q, neg;
+    Curve::cache(q, o);
+    Curve::negate(neg, q);
+    Curve::Completed c;
+    Curve::add(c, *this, neg);
+    Point r;
+    Curve::toExt(r, c);
+    return r;
 }
 
 Point
 Point::dbl() const
 {
-    // RFC 8032 §5.1.4 doubling.
     Point r;
-    u64 a[5], b[5], c[5], e[5], f[5], g[5], h[5], t[5];
-    feSq(a, X_.v);                // A = X1^2
-    feSq(b, Y_.v);                // B = Y1^2
-    feSq(c, Z_.v);
-    feAdd(c, c, c);               // C = 2 Z1^2
-    feAdd(h, a, b);               // H = A + B
-    feAdd(t, X_.v, Y_.v);
-    feCarry(t);
-    feSq(t, t);
-    feSub(e, h, t);
-    feCarry(e);                   // E = H - (X1+Y1)^2
-    feSub(g, a, b);
-    feCarry(g);                   // G = A - B
-    feAdd(f, c, g);               // F = C + G
-    feMul(r.X_.v, e, f);
-    feMul(r.Y_.v, g, h);
-    feMul(r.T_.v, e, h);
-    feMul(r.Z_.v, f, g);
+    Curve::dblN(r, *this, 1);
     return r;
+}
+
+void
+Point::cmov(const Point &o, bool take)
+{
+    Curve::cmov(*this, o, maskOf(u64(take)));
 }
 
 Point
 Point::mul(const Scalar &k, const Point &p)
 {
-    Point r;
-    bool started = false;
-    for (int bit = 255; bit >= 0; --bit) {
-        if (started)
-            r = r.dbl();
-        if ((k.bytes[bit / 8] >> (bit % 8)) & 1) {
-            r = started ? r.add(p) : p;
-            started = true;
-        }
+    return Curve::ladder(k, p);
+}
+
+void
+Point::batchToBytes(const Point *points, size_t count, uint8_t *out)
+{
+    std::vector<u64> zinv(5 * count);
+    for (size_t i = 0; i < count; ++i)
+        feCopy(&zinv[5 * i], points[i].Z_);
+    feBatchInvert(zinv.data(), count);
+    for (size_t i = 0; i < count; ++i) {
+        u64 x[5], y[5];
+        uint8_t xbytes[32];
+        feMul(x, points[i].X_, &zinv[5 * i]);
+        feMul(y, points[i].Y_, &zinv[5 * i]);
+        uint8_t *enc = out + kPointBytes * i;
+        feToBytes(enc, y);
+        feToBytes(xbytes, x);
+        enc[31] |= uint8_t((xbytes[0] & 1) << 7); // the sign of x
     }
-    return r;
 }
 
 void
 Point::toBytes(uint8_t out[kPointBytes]) const
 {
-    u64 zinv[5], x[5], y[5];
-    feInvert(zinv, Z_.v);
-    feMul(x, X_.v, zinv);
-    feMul(y, Y_.v, zinv);
-    feToBytes(out, y);
-    out[31] |= uint8_t(feIsNegative(x) ? 0x80 : 0);
+    batchToBytes(this, 1, out);
 }
 
 bool
@@ -394,8 +797,7 @@ Point::fromBytes(const uint8_t in[kPointBytes], Point &out)
 
     feSq(y2, y);
     feOne(one);
-    feSub(u, y2, one);
-    feCarry(u);                   // u = y^2 - 1
+    feSub(u, y2, one);            // u = y^2 - 1
     feMul(v, y2, kD);
     feAdd(v, v, one);
     feCarry(v);                   // v = d y^2 + 1
@@ -415,7 +817,6 @@ Point::fromBytes(const uint8_t in[kPointBytes], Point &out)
     feMul(check, check, v);       // v x^2
     u64 diff[5], sum[5];
     feSub(diff, check, u);
-    feCarry(diff);
     feAdd(sum, check, u);
     feCarry(sum);
     if (!feIsZero(diff)) {
@@ -429,11 +830,29 @@ Point::fromBytes(const uint8_t in[kPointBytes], Point &out)
     if (feIsNegative(x) != sign)
         feNeg(x, x);
 
-    feCopy(out.X_.v, x);
-    feCopy(out.Y_.v, y);
-    feOne(out.Z_.v);
-    feMul(out.T_.v, x, y);
+    feCopy(out.X_, x);
+    feCopy(out.Y_, y);
+    feOne(out.Z_);
+    feMul(out.T_, x, y);
     return true;
+}
+
+Comb::Comb(const Point &p)
+{
+    Curve::build(*this, p);
+}
+
+const Comb &
+Comb::base()
+{
+    static const Comb b(Point::base());
+    return b;
+}
+
+Point
+Comb::mul(const Scalar &k) const
+{
+    return Curve::combMul(*this, k);
 }
 
 bool

@@ -7,18 +7,33 @@
  * receiver's key as R = c*A + x*G — so this implements the twisted
  * Edwards form of Curve25519 (the Ed25519 group of RFC 8032): field
  * arithmetic mod 2^255-19 in five 51-bit limbs on unsigned __int128,
- * complete extended-coordinate addition, double-and-add scalar
- * multiplication, and RFC 8032 point compression/decompression.
+ * complete extended-coordinate addition, and RFC 8032 point
+ * compression/decompression.
  *
- * Deliberately small: encryption-only GC needs no signatures, no
- * constant-time hardening beyond the arithmetic being branch-free on
- * secret limbs (the repo models a semi-honest deployment; see
- * DESIGN.md), and no external library.
+ * Scalar multiplication is table-driven and constant time in the
+ * scalar: a 256-bit scalar is recoded into 65 signed radix-16 digits
+ * without a branch, and every table lookup is a masked scan over all
+ * entries plus a conditional negate, never a load indexed by a digit.
+ * Two shapes, one per kind of base:
+ *   - Point::mul, any base: a signed 4-bit fixed window over a
+ *     per-call table of 1P..8P (256 doublings, 65 additions);
+ *   - Comb, a base known ahead: a 32-row radix-16 comb of
+ *     precomputed affine points (65 mixed additions, 4 doublings).
+ *     Comb::base() is the process-wide comb of B; the base-OT
+ *     receiver builds one for the sender's key A per setup.
+ * Point::batchToBytes compresses many points with one field inversion
+ * (Montgomery's trick), byte-for-byte what toBytes gives per point.
+ *
+ * Deliberately small: encryption-only GC needs no signatures and no
+ * external library. Decompression branches only on the (public)
+ * validity of a received encoding.
  */
 #ifndef HAAC_CRYPTO_CURVE25519_H
 #define HAAC_CRYPTO_CURVE25519_H
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/prg.h"
 
@@ -59,11 +74,21 @@ class Point
     /** Compress to the canonical 32-byte RFC 8032 encoding. */
     void toBytes(uint8_t out[kPointBytes]) const;
 
+    /**
+     * Compress @p count points into @p out (count * kPointBytes
+     * bytes) with one field inversion for the whole batch.
+     */
+    static void batchToBytes(const Point *points, size_t count,
+                             uint8_t *out);
+
     Point add(const Point &o) const;
     Point sub(const Point &o) const;
     Point dbl() const;
 
-    /** Variable-base scalar multiplication k*P (double-and-add). */
+    /** Become @p o when @p take is set, in constant time. */
+    void cmov(const Point &o, bool take);
+
+    /** Variable-base k*P: signed 4-bit fixed window, constant time. */
     static Point mul(const Scalar &k, const Point &p);
 
     /** Canonical-encoding equality (compares compressed bytes). */
@@ -72,13 +97,42 @@ class Point
     bool isIdentity() const;
 
   private:
-    // Field element mod 2^255-19: five unsaturated 51-bit limbs.
-    struct Fe
+    friend struct Curve; // the point formulas in curve25519.cc
+
+    // Field elements mod 2^255-19: five unsaturated 51-bit limbs.
+    uint64_t X_[5], Y_[5], Z_[5], T_[5];
+};
+
+/**
+ * Fixed-base comb for one point P: k*P for many k, constant time in k.
+ *
+ * Row r holds j * 256^r * P for j = 1..8 as affine points (~30 KB), so
+ * a multiply is one constant-time lookup and one mixed addition per
+ * signed digit plus four doublings. Building a comb costs about as
+ * much as three to four Point::mul calls.
+ */
+class Comb
+{
+  public:
+    explicit Comb(const Point &p);
+
+    /** The comb of the base point B, built once per process. */
+    static const Comb &base();
+
+    /** k*P, equal to Point::mul(k, P). */
+    Point mul(const Scalar &k) const;
+
+  private:
+    friend struct Curve;
+
+    // An affine point prepared for mixed addition: (y+x, y-x, 2dxy).
+    struct Niels
     {
-        uint64_t v[5];
+        uint64_t yPlusX[5], yMinusX[5], xy2d[5];
     };
 
-    Fe X_, Y_, Z_, T_;
+    std::vector<Niels> rows_; // 32 rows x 8 entries, row-major
+    Niels top_;               // 2^256 * P, the carry digit's addend
 };
 
 } // namespace ec

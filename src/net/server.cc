@@ -69,10 +69,24 @@ refuseAbove(uint64_t count, uint64_t cap, const std::string &what,
 }
 
 /**
- * resolveWorkload() under a gate cap. A sized spec is refused on an
- * upper bound of its gate count before any synthesis (measured:
- * Million and Adder 5N - 2 gates, Mult just under 6N^2); every spec
- * is re-checked on its real count.
+ * The one spelling of a registry spec that keys the spec cache and the
+ * pools: the aliases "millionaire:N" and "aes128" become "Million:N"
+ * and "AES128".
+ */
+std::string
+canonicalSpec(const std::string &spec)
+{
+    static const std::string kMillionaire = "millionaire:";
+    if (spec.compare(0, kMillionaire.size(), kMillionaire) == 0)
+        return "Million:" + spec.substr(kMillionaire.size());
+    return spec == "aes128" ? "AES128" : spec;
+}
+
+/**
+ * resolveWorkload() of a canonical spec under a gate cap. A sized spec
+ * is refused on an upper bound of its gate count before any synthesis
+ * (measured: Million and Adder 5N - 2 gates, Mult just under 6N^2);
+ * every spec is re-checked on its real count.
  */
 Workload
 resolveCapped(const std::string &spec, uint64_t max_gates)
@@ -89,15 +103,14 @@ resolveCapped(const std::string &spec, uint64_t max_gates)
     Workload wl;
     if (sized) {
         const bool mult = name == "Mult";
-        if (!mult && name != "Million" && name != "millionaire" &&
-            name != "Adder")
+        if (!mult && name != "Million" && name != "Adder")
             throw NetError("unknown " + quoted);
         const uint64_t big_n = n;
         refuseAbove(mult ? 6 * big_n * big_n : 5 * big_n, max_gates,
                     quoted + " would build about");
         wl = mult ? makeMultiplier(n)
                   : name == "Adder" ? makeAdder(n) : makeMillionaire(n);
-    } else if (spec == "AES128" || spec == "aes128") {
+    } else if (spec == "AES128") {
         wl = makeAes128();
     } else {
         try {
@@ -165,7 +178,7 @@ awaitAck(Transport &transport, const std::vector<uint8_t> &request,
 Workload
 resolveWorkload(const std::string &spec)
 {
-    return resolveCapped(spec, UINT64_MAX);
+    return resolveCapped(canonicalSpec(spec), UINT64_MAX);
 }
 
 PeerRole
@@ -416,7 +429,8 @@ GcServer::resolveRequest(const std::vector<uint8_t> &request)
         return job;
     }
 
-    const std::string spec(request.begin(), request.end());
+    const std::string spec =
+        canonicalSpec(std::string(request.begin(), request.end()));
     if (spec.empty())
         throw NetError("this server requires a workload spec "
                        "(e.g. \"Million:32\")");

@@ -22,6 +22,7 @@
 #include "crypto/hash.h"
 #include "crypto/label.h"
 #include "crypto/prg.h"
+#include "ec_reference.h"
 
 namespace haac {
 namespace {
@@ -383,6 +384,127 @@ TEST(Curve25519, AddSubCancel)
     EXPECT_TRUE(p.sub(p).isIdentity());
     EXPECT_TRUE(p.add(ec::Point()).equals(p));
     EXPECT_TRUE(p.dbl().equals(p.add(p)));
+}
+
+/** ell = 2^252 + 27742317777372353535851937790883648493 + @p delta. */
+ec::Scalar
+ellPlus(int delta)
+{
+    ec::Scalar s;
+    const uint8_t ell[32] = {0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12,
+                             0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
+                             0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00,
+                             0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+                             0x00, 0x00, 0x00, 0x10};
+    std::memcpy(s.bytes, ell, sizeof(ell));
+    s.bytes[0] = uint8_t(s.bytes[0] + delta); // no carry for |delta| < 2
+    return s;
+}
+
+/** The edge scalars plus 200 seeded ones over all 256 bits. */
+std::vector<ec::Scalar>
+differentialScalars()
+{
+    std::vector<ec::Scalar> ks(3);
+    ks[1].bytes[0] = 1;
+    ks[2].bytes[0] = 2;
+    ks.push_back(ellPlus(-1));
+    ks.push_back(ellPlus(0));
+    ks.push_back(ellPlus(1));
+    ec::Scalar top; // 2^255 - 1, then 2^256 - 1
+    std::memset(top.bytes, 0xff, sizeof(top.bytes));
+    top.bytes[31] = 0x7f;
+    ks.push_back(top);
+    top.bytes[31] = 0xff;
+    ks.push_back(top);
+    Prg rng(0xd1ff);
+    for (int i = 0; i < 200; ++i) {
+        ec::Scalar k;
+        rng.nextLabel().toBytes(k.bytes);
+        rng.nextLabel().toBytes(k.bytes + 16);
+        ks.push_back(k);
+    }
+    return ks;
+}
+
+/** (0, -1), the point of order 2, from its RFC 8032 encoding. */
+ec::Point
+orderTwoPoint()
+{
+    uint8_t enc[ec::kPointBytes];
+    std::memset(enc, 0xff, sizeof(enc));
+    enc[0] = 0xec;  // y = p - 1
+    enc[31] = 0x7f; // x = 0, sign bit clear
+    ec::Point p;
+    EXPECT_TRUE(ec::Point::fromBytes(enc, p));
+    EXPECT_FALSE(p.isIdentity());
+    EXPECT_TRUE(p.dbl().isIdentity());
+    return p;
+}
+
+TEST(Curve25519, TableDrivenMultipliesMatchDoubleAndAdd)
+{
+    Prg rng(0xa);
+    const ec::Point a =
+        referenceMul(ec::randomScalar(rng), ec::Point::base());
+    const ec::Point bases[] = {ec::Point::base(), a, ec::Point(),
+                               orderTwoPoint()};
+    const char *names[] = {"B", "random A", "identity", "order 2"};
+    const std::vector<ec::Scalar> ks = differentialScalars();
+    for (size_t b = 0; b < 4; ++b) {
+        const ec::Comb built(bases[b]);
+        const ec::Comb &comb = b == 0 ? ec::Comb::base() : built;
+        for (size_t i = 0; i < ks.size(); ++i) {
+            // Reference, ladder, comb, compressed as one batch: each
+            // must encode like the reference and like its own toBytes.
+            const ec::Point got[3] = {referenceMul(ks[i], bases[b]),
+                                      ec::Point::mul(ks[i], bases[b]),
+                                      comb.mul(ks[i])};
+            uint8_t batch[3 * ec::kPointBytes];
+            ec::Point::batchToBytes(got, 3, batch);
+            for (size_t j = 0; j < 3; ++j) {
+                uint8_t one[ec::kPointBytes];
+                got[j].toBytes(one);
+                ASSERT_EQ(std::memcmp(one, batch, ec::kPointBytes), 0)
+                    << names[b] << " scalar " << i << " result " << j;
+                ASSERT_EQ(std::memcmp(one, batch + j * ec::kPointBytes,
+                                      ec::kPointBytes),
+                          0)
+                    << names[b] << " scalar " << i << " result " << j;
+            }
+        }
+    }
+}
+
+TEST(Curve25519, BatchToBytesMatchesToBytesPerPoint)
+{
+    Prg rng(0xb);
+    std::vector<ec::Point> points = {ec::Point(), orderTwoPoint()};
+    for (int i = 0; i < 30; ++i)
+        points.push_back(ec::Point::mul(ec::randomScalar(rng),
+                                        ec::Point::base())
+                             .add(points[i % 2]));
+    std::vector<uint8_t> batch(points.size() * ec::kPointBytes);
+    ec::Point::batchToBytes(points.data(), points.size(), batch.data());
+    for (size_t i = 0; i < points.size(); ++i) {
+        uint8_t one[ec::kPointBytes];
+        points[i].toBytes(one);
+        EXPECT_EQ(std::memcmp(one, &batch[i * ec::kPointBytes],
+                              ec::kPointBytes),
+                  0)
+            << "point " << i;
+    }
+    ec::Point::batchToBytes(nullptr, 0, nullptr); // an empty batch
+}
+
+TEST(Curve25519, CmovTakesTheOtherPointOnlyWhenSet)
+{
+    const ec::Point b = ec::Point::base();
+    ec::Point p;
+    p.cmov(b, false);
+    EXPECT_TRUE(p.isIdentity());
+    p.cmov(b, true);
+    EXPECT_TRUE(p.equals(b));
 }
 
 TEST(Curve25519, RejectsNonCurveEncodings)

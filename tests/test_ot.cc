@@ -23,16 +23,16 @@ using namespace haac;
 // Base OT (Chou-Orlandi over Curve25519)
 // ---------------------------------------------------------------------------
 
-TEST(BaseOt, SenderAndReceiverAgreeOnChosenKeys)
+namespace {
+
+/** Run one base-OT setup over @p choices and check every key. */
+void
+expectChosenKeysAgree(const std::vector<bool> &choices)
 {
     DuplexChannel chan;
     Prg srng(1001), rrng(2002);
     BaseOtSender sender(chan.toEvaluator, chan.toGarbler, srng);
     BaseOtReceiver receiver(chan.toGarbler, chan.toEvaluator, rrng);
-
-    std::vector<bool> choices(16);
-    for (size_t i = 0; i < choices.size(); ++i)
-        choices[i] = (i % 3) == 1;
 
     sender.start();
     receiver.run(choices);
@@ -47,6 +47,19 @@ TEST(BaseOt, SenderAndReceiverAgreeOnChosenKeys)
         EXPECT_NE(receiver.keys()[i], other) << "i=" << i;
         EXPECT_NE(sender.keys0()[i], sender.keys1()[i]) << "i=" << i;
     }
+}
+
+} // namespace
+
+TEST(BaseOt, SenderAndReceiverAgreeOnChosenKeys)
+{
+    std::vector<bool> choices(16);
+    for (size_t i = 0; i < choices.size(); ++i)
+        choices[i] = (i % 3) == 1;
+    expectChosenKeysAgree(choices);
+    // The blinding is a constant-time select: both uniform vectors.
+    expectChosenKeysAgree(std::vector<bool>(16, false));
+    expectChosenKeysAgree(std::vector<bool>(16, true));
 }
 
 TEST(BaseOt, TrafficIsOnePointEachWay)

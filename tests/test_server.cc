@@ -563,6 +563,45 @@ TEST(GcServer, UploadAndSpecSessionsShareAConnection)
     EXPECT_EQ(totals.connectionsServed, 1u);
 }
 
+TEST(GcServer, AliasSpellingsShareOneJobAndOnePoolQueue)
+{
+    // The client evaluates, so the server garbles from its pool; the
+    // two spellings of one circuit must land on one key.
+    serve::PoolOptions popts;
+    popts.depth = 2;
+    serve::GarblePool pool(popts);
+    ServerOptions opts;
+    opts.threads = 1;
+    opts.pool = &pool;
+    GcServer server(opts);
+
+    const Workload wl = resolveWorkload("Million:8");
+    auto [client_end, server_end] = LoopbackTransport::createPair();
+    server.submit(std::move(server_end));
+    client_end->handshake(PeerRole::Evaluator);
+    OtConnectionCache ot;
+    RemoteOptions ropts;
+    ropts.otCache = &ot;
+    for (const char *spec :
+         {"Million:8", "millionaire:8", "Million:8", "millionaire:8"}) {
+        clientRequest(*client_end, spec);
+        const RemoteResult r = runRemoteEvaluator(
+            wl.netlist, wl.evaluatorBits, *client_end, ropts);
+        EXPECT_EQ(r.outputs, wl.expectedOutputs) << spec;
+    }
+    client_end.reset();
+    server.drain();
+
+    const serve::PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.tracked, 1u);
+    EXPECT_EQ(stats.hits + stats.misses, 4u);
+    EXPECT_TRUE(pool.tracks("Million:8"));
+    EXPECT_FALSE(pool.tracks("millionaire:8"));
+    EXPECT_EQ(server.totals().sessionsServed, 4u);
+    EXPECT_EQ(resolveWorkload("aes128").name,
+              resolveWorkload("AES128").name);
+}
+
 // ---------------------------------------------------------------------
 // Report goldens: one spec, one chain and one upload session per
 // request kind, in both server roles, with and without pools. Each
