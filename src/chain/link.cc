@@ -4,98 +4,12 @@
 #include <stdexcept>
 
 #include "circuit/analyze.h"
-#include "crypto/hash.h"
 #include "crypto/prg.h"
-#include "gc/streaming.h"
-#include "net/net_channel.h"
-#include "net/wire.h"
 
 namespace haac {
 namespace chain {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/**
- * Chain-session agreement check, the chained analogue of remote.cc's
- * Fingerprint: both parties hold the (public) plan; the structural
- * hash plus shape fields catch disagreement before any label moves,
- * and the garbler's OT/segment choices travel with it. 42 bytes.
- */
-struct ChainFingerprint
-{
-    uint64_t planHash = 0;
-    uint32_t nodes = 0;
-    uint32_t links = 0;
-    uint32_t garblerInputs = 0;
-    uint32_t evaluatorInputs = 0;
-    uint32_t outputs = 0;
-    uint32_t segmentTables = 0;
-    uint64_t reserved = 0; ///< written as zero, ignored on read
-    uint8_t otMode = 1;    ///< 1 = IKNP, the only OT spoken
-    uint8_t otCached = 0;
-
-    static constexpr size_t kBytes = 8 + 6 * 4 + 8 + 2;
-
-    static ChainFingerprint
-    of(const ChainPlan &plan)
-    {
-        ChainFingerprint fp;
-        fp.planHash = plan.hash();
-        fp.nodes = uint32_t(plan.nodes.size());
-        fp.links = plan.numLinks();
-        fp.garblerInputs = plan.garblerInputs;
-        fp.evaluatorInputs = plan.evaluatorInputs;
-        fp.outputs = uint32_t(plan.outputs.size());
-        return fp;
-    }
-
-    std::vector<uint8_t>
-    serialize() const
-    {
-        WireWriter w;
-        w.u64(planHash);
-        w.u32(nodes);
-        w.u32(links);
-        w.u32(garblerInputs);
-        w.u32(evaluatorInputs);
-        w.u32(outputs);
-        w.u32(segmentTables);
-        w.u64(reserved);
-        w.u8(otMode);
-        w.u8(otCached);
-        return w.take();
-    }
-
-    static ChainFingerprint
-    deserialize(const std::vector<uint8_t> &bytes)
-    {
-        WireReader r(bytes);
-        ChainFingerprint fp;
-        fp.planHash = r.u64();
-        fp.nodes = r.u32();
-        fp.links = r.u32();
-        fp.garblerInputs = r.u32();
-        fp.evaluatorInputs = r.u32();
-        fp.outputs = r.u32();
-        fp.segmentTables = r.u32();
-        fp.reserved = r.u64();
-        fp.otMode = r.u8();
-        fp.otCached = r.u8();
-        r.expectEnd("chain fingerprint");
-        return fp;
-    }
-
-    bool
-    samePlan(const ChainFingerprint &o) const
-    {
-        return planHash == o.planHash && nodes == o.nodes &&
-               links == o.links && garblerInputs == o.garblerInputs &&
-               evaluatorInputs == o.evaluatorInputs &&
-               outputs == o.outputs;
-    }
-};
 
 void
 fnv1a(uint64_t &h, uint64_t v)
@@ -112,6 +26,63 @@ requireValidPlan(const ChainPlan &plan, const char *who)
     const std::string err = plan.check();
     if (!err.empty())
         throw std::invalid_argument(std::string(who) + ": " + err);
+}
+
+/**
+ * A chained session: one unit per node, whose link-driven ports become
+ * its link slots. Evaluator-driven ports are the OT ports; garbler and
+ * constant ports, then each node's constant-one label, fill the
+ * input-label window; all in plan scan order. Each party passes its
+ * own bits and leaves the other's empty.
+ */
+SessionLayout
+lowerPlan(const ChainPlan &plan, const std::vector<Netlist> &nls,
+          const std::vector<bool> &garbler_bits,
+          const std::vector<bool> &evaluator_bits)
+{
+    using F = FingerprintField;
+    SessionLayout s;
+    s.fingerprint = {{F::Shape, 8, "hash", plan.hash()},
+                     {F::Shape, 4, "nodes", uint32_t(plan.nodes.size())},
+                     {F::Shape, 4, "links", plan.numLinks()},
+                     {F::Shape, 4, "g", plan.garblerInputs},
+                     {F::Shape, 4, "e", plan.evaluatorInputs},
+                     {F::Shape, 4, "outs", uint32_t(plan.outputs.size())},
+                     {F::Segment, 4},
+                     {F::Reserved, 8},
+                     {F::Ot, 1},
+                     {F::Cached, 1}};
+    s.units.resize(plan.nodes.size());
+    for (uint32_t n = 0; n < plan.nodes.size(); ++n) {
+        s.units[n].netlist = &nls[n];
+        for (WireId i = 0; i < plan.sources[n].size(); ++i) {
+            const InputSource &src = plan.sources[n][i];
+            switch (src.kind) {
+            case SourceKind::Garbler:
+                s.directLabels.add(n, i, !garbler_bits.empty() &&
+                                             garbler_bits[src.index]);
+                break;
+            case SourceKind::Evaluator:
+                s.otPorts.add(n, i, !evaluator_bits.empty() &&
+                                        evaluator_bits[src.index]);
+                break;
+            case SourceKind::Link:
+                s.units[n].links.push_back(
+                    {i, {src.from.node, src.from.bit}, {}});
+                break;
+            case SourceKind::Zero:
+            case SourceKind::One:
+                s.directLabels.add(n, i, src.kind == SourceKind::One);
+                break;
+            }
+        }
+    }
+    for (uint32_t n = 0; n < plan.nodes.size(); ++n)
+        if (nls[n].constOne != kNoWire)
+            s.directLabels.add(n, nls[n].constOne, true);
+    for (const PortRef &ref : plan.outputs)
+        s.outputs.push_back({ref.node, ref.bit});
+    return s;
 }
 
 } // namespace
@@ -294,30 +265,6 @@ ChainPlan::evaluate(const std::vector<bool> &garbler_bits,
     return out;
 }
 
-LinkTable
-buildLinkTable(const Label &producer_zero, const Label &producer_offset,
-               const Label &consumer_zero, const Label &consumer_offset,
-               uint64_t link_index)
-{
-    const Label y1 = producer_zero ^ producer_offset;
-    const Label x1 = consumer_zero ^ consumer_offset;
-    Label h[2] = {producer_zero, y1};
-    hashRekeyedFused(linkTweakOf(link_index), h, 2, 0, h);
-    LinkTable t;
-    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h[0];
-    t.row[y1.lsb() ? 1 : 0] = x1 ^ h[1];
-    return t;
-}
-
-Label
-translateLinkLabel(const LinkTable &table, const Label &producer_active,
-                   uint64_t link_index)
-{
-    Label h;
-    hashRekeyedFused(linkTweakOf(link_index), &producer_active, 1, 0, &h);
-    return table.row[producer_active.lsb() ? 1 : 0] ^ h;
-}
-
 std::vector<LinkTable>
 buildLinkTables(const ChainPlan &plan,
                 const std::vector<const GarbledComponent *> &components)
@@ -367,21 +314,14 @@ runChainGarbler(const ChainPlan &plan,
     if (garbler_bits.size() != plan.garblerInputs)
         throw std::invalid_argument(
             "runChainGarbler: wrong garbler input count");
-
-    const auto start = Clock::now();
-    const uint32_t segment_tables = opts.segment();
-
-    RemoteResult res;
-    res.components = uint32_t(plan.nodes.size());
-    res.links = plan.numLinks();
-    res.segmentTables = segment_tables;
+    const auto start = std::chrono::steady_clock::now();
 
     // Acquire one garbled component per node (pool or inline) and
     // validate each against its spec's netlist shape.
     std::vector<std::unique_ptr<GarbledComponent>> owned;
     std::vector<const GarbledComponent *> comps;
-    owned.reserve(plan.nodes.size());
-    comps.reserve(plan.nodes.size());
+    std::vector<Netlist> nls;
+    uint32_t pooled = 0;
     for (uint32_t n = 0; n < plan.nodes.size(); ++n) {
         AcquiredComponent acq = provider(n, plan.nodes[n]);
         if (acq.component == nullptr ||
@@ -390,152 +330,33 @@ runChainGarbler(const ChainPlan &plan,
                 "runChainGarbler: provider returned the wrong "
                 "component for node " +
                 std::to_string(n));
-        const Netlist nl = buildComponent(plan.nodes[n]);
-        if (acq.component->inst.inputZero.size() != nl.numInputs() ||
-            acq.component->inst.outputZero.size() !=
-                nl.outputs.size() ||
-            acq.component->inst.tables.size() != nl.numAndGates())
+        nls.push_back(buildComponent(plan.nodes[n]));
+        const GarbledInstance &inst = acq.component->inst;
+        if (inst.inputZero.size() != nls.back().numInputs() ||
+            inst.outputZero.size() != nls.back().outputs.size() ||
+            inst.tables.size() != nls.back().numAndGates())
             throw std::invalid_argument(
                 "runChainGarbler: component for node " +
                 std::to_string(n) + " does not match " +
                 plan.nodes[n].name());
-        res.gates += nl.numGates();
-        if (acq.pooled)
-            ++res.pooledComponents;
+        pooled += acq.pooled ? 1 : 0;
         owned.push_back(std::move(acq.component));
         comps.push_back(owned.back().get());
     }
 
-    NetChannel chan(transport, size_t(segment_tables) * kTableBytes);
-
-    const bool reuse_ot =
-        otSenderCached(opts.otCache) && plan.numEvaluatorPorts() > 0;
-    res.otSetupReused = reuse_ot;
-
-    ChainFingerprint fp = ChainFingerprint::of(plan);
-    fp.segmentTables = segment_tables;
-    fp.otCached = reuse_ot ? 1 : 0;
-    const std::vector<uint8_t> fp_bytes = fp.serialize();
-    chan.sendBytes(fp_bytes.data(), fp_bytes.size());
-    chan.flush();
-    res.controlBytes += fp_bytes.size();
-
-    // --- OT phase: one IKNP batch over every evaluator-driven port,
-    // in plan scan order. m0/m1 are the consuming component's own
-    // input labels (each port has independent labels even when two
-    // ports share a plan input bit). ---
-    {
-        size_t base = chan.bytesSent();
-        const size_t uplink_base = chan.bytesReceived();
-        const uint32_t m = plan.numEvaluatorPorts();
-        if (m > 0) {
-            std::vector<Label> m0, m1;
-            m0.reserve(m);
-            m1.reserve(m);
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                    if (plan.sources[n][i].kind != SourceKind::Evaluator)
-                        continue;
-                    m0.push_back(
-                        comps[n]->inst.activeLabel(WireId(i), false));
-                    m1.push_back(
-                        comps[n]->inst.activeLabel(WireId(i), true));
-                }
-            sendOtBatch(chan, opts.otCache, reuse_ot, m0, m1);
-        }
-        res.otBytes = chan.bytesSent() - base;
-        res.otUplinkBytes = chan.bytesReceived() - uplink_base;
-        chan.flush();
+    SessionLayout session = lowerPlan(plan, nls, garbler_bits, {});
+    session.start = start;
+    const std::vector<LinkTable> tables = buildLinkTables(plan, comps);
+    size_t next = 0;
+    for (uint32_t n = 0; n < plan.nodes.size(); ++n) {
+        session.units[n].captured = &comps[n]->inst;
+        for (LinkSlot &l : session.units[n].links)
+            l.table = tables[next++];
     }
-
-    // --- Direct labels: garbler-driven and constant ports in scan
-    // order, then each component's constant-one label. ---
-    {
-        const size_t base = chan.bytesSent();
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const InputSource &s = plan.sources[n][i];
-                const WireId w = WireId(i);
-                switch (s.kind) {
-                case SourceKind::Garbler:
-                    chan.sendLabel(comps[n]->inst.activeLabel(
-                        w, garbler_bits[s.index]));
-                    break;
-                case SourceKind::Zero:
-                    chan.sendLabel(
-                        comps[n]->inst.activeLabel(w, false));
-                    break;
-                case SourceKind::One:
-                    chan.sendLabel(comps[n]->inst.activeLabel(w, true));
-                    break;
-                case SourceKind::Evaluator:
-                case SourceKind::Link:
-                    break;
-                }
-            }
-        for (size_t n = 0; n < plan.nodes.size(); ++n) {
-            // Every built netlist carries a constant-one input wire
-            // (the last input); ship its active label like remote.cc.
-            const Netlist nl = buildComponent(plan.nodes[n]);
-            if (nl.constOne != kNoWire)
-                chan.sendLabel(
-                    comps[n]->inst.activeLabel(nl.constOne, true));
-        }
-        res.inputLabelBytes = chan.bytesSent() - base;
-        chan.flush();
-    }
-
-    // --- Per node: link-table frame, then the component's AND tables
-    // through the segment framing. Flushing before each typed frame
-    // keeps the two streams on disjoint transport frames. ---
-    const std::vector<LinkTable> links = buildLinkTables(plan, comps);
-    size_t next_link = 0;
-    for (size_t n = 0; n < plan.nodes.size(); ++n) {
-        uint32_t node_links = 0;
-        for (const InputSource &s : plan.sources[n])
-            node_links += s.kind == SourceKind::Link ? 1 : 0;
-        if (node_links > 0) {
-            std::vector<uint8_t> rows(size_t(node_links) *
-                                      kLinkTableBytes);
-            for (uint32_t k = 0; k < node_links; ++k) {
-                links[next_link + k].row[0].toBytes(
-                    rows.data() + size_t(k) * kLinkTableBytes);
-                links[next_link + k].row[1].toBytes(
-                    rows.data() + size_t(k) * kLinkTableBytes +
-                    kLabelBytes);
-            }
-            next_link += node_links;
-            const std::vector<uint8_t> frame = makeLinkTableFrame(
-                uint32_t(n), node_links, rows.data(), rows.size());
-            transport.sendFrame(frame);
-            res.linkBytes += frame.size();
-            ++res.linkFrames;
-        }
-        const uint64_t frames_before = transport.framesSent();
-        const size_t base = chan.bytesSent();
-        chan.sendTableSegments(comps[n]->inst.tables, segment_tables);
-        chan.flush();
-        res.tableBytes += chan.bytesSent() - base;
-        res.tableSegments += transport.framesSent() - frames_before;
-    }
-
-    // --- Decode bits and the result echo. ---
-    {
-        const size_t base = chan.bytesSent();
-        for (const PortRef &ref : plan.outputs)
-            chan.sendBit(comps[ref.node]->inst.decodeBit(ref.bit));
-        res.outputDecodeBytes = chan.bytesSent() - base;
-        chan.flush();
-    }
-    res.outputs.resize(plan.outputs.size());
-    for (size_t i = 0; i < res.outputs.size(); ++i)
-        res.outputs[i] = chan.recvBit();
-    res.controlBytes += res.outputs.size();
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.linkBytes + res.outputDecodeBytes;
-    res.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    RemoteResult res = runGarblerSession(session, transport, opts);
+    res.components = uint32_t(plan.nodes.size());
+    res.links = plan.numLinks();
+    res.pooledComponents = pooled;
     return res;
 }
 
@@ -558,154 +379,17 @@ runChainEvaluator(const ChainPlan &plan,
     if (evaluator_bits.size() != plan.evaluatorInputs)
         throw std::invalid_argument(
             "runChainEvaluator: wrong evaluator input count");
-
-    const auto start = Clock::now();
-    RemoteResult res;
-    res.components = uint32_t(plan.nodes.size());
-    res.links = plan.numLinks();
+    const auto start = std::chrono::steady_clock::now();
 
     std::vector<Netlist> nls;
     nls.reserve(plan.nodes.size());
-    for (const ComponentSpec &spec : plan.nodes) {
+    for (const ComponentSpec &spec : plan.nodes)
         nls.push_back(buildComponent(spec));
-        res.gates += nls.back().numGates();
-    }
-
-    NetChannel chan(transport, size_t(opts.segment()) * kTableBytes);
-
-    std::vector<uint8_t> fp_bytes(ChainFingerprint::kBytes);
-    chan.recvBytes(fp_bytes.data(), fp_bytes.size());
-    res.controlBytes += fp_bytes.size();
-    const ChainFingerprint remote_fp =
-        ChainFingerprint::deserialize(fp_bytes);
-    const ChainFingerprint local_fp = ChainFingerprint::of(plan);
-    if (!remote_fp.samePlan(local_fp))
-        throw NetError(
-            "chain plan mismatch: local hash " +
-            std::to_string(local_fp.planHash) + " (" +
-            std::to_string(local_fp.nodes) + " nodes) vs garbler " +
-            std::to_string(remote_fp.planHash) + " (" +
-            std::to_string(remote_fp.nodes) + " nodes)");
-    if (remote_fp.otMode != 1)
-        throw NetError("chained sessions require IKNP OT");
-    res.segmentTables = remote_fp.segmentTables;
-    res.otSetupReused = remote_fp.otCached != 0;
-
-    // Per-node input labels, filled phase by phase.
-    std::vector<std::vector<Label>> inputs(plan.nodes.size());
-    for (size_t n = 0; n < plan.nodes.size(); ++n)
-        inputs[n].resize(nls[n].numInputs());
-
-    // --- OT phase: choices are the plan input bits each
-    // evaluator-driven port names, in the garbler's scan order. ---
-    {
-        const size_t uplink_base = chan.bytesSent();
-        const size_t base = chan.bytesReceived();
-        const uint32_t m = plan.numEvaluatorPorts();
-        if (m > 0) {
-            std::vector<bool> choices;
-            choices.reserve(m);
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (const InputSource &s : plan.sources[n])
-                    if (s.kind == SourceKind::Evaluator)
-                        choices.push_back(evaluator_bits[s.index]);
-            const std::vector<Label> labels = receiveOtBatch(
-                chan, opts.otCache, remote_fp.otCached != 0, choices);
-            size_t at = 0;
-            for (size_t n = 0; n < plan.nodes.size(); ++n)
-                for (size_t i = 0; i < plan.sources[n].size(); ++i)
-                    if (plan.sources[n][i].kind ==
-                        SourceKind::Evaluator)
-                        inputs[n][i] = labels[at++];
-        }
-        res.otBytes = chan.bytesReceived() - base;
-        res.otUplinkBytes = chan.bytesSent() - uplink_base;
-    }
-
-    // --- Direct labels, mirroring the garbler's scan order. ---
-    {
-        const size_t base = chan.bytesReceived();
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const SourceKind kind = plan.sources[n][i].kind;
-                if (kind == SourceKind::Garbler ||
-                    kind == SourceKind::Zero || kind == SourceKind::One)
-                    inputs[n][i] = chan.recvLabel();
-            }
-        for (size_t n = 0; n < plan.nodes.size(); ++n)
-            if (nls[n].constOne != kNoWire)
-                inputs[n][nls[n].constOne] = chan.recvLabel();
-        res.inputLabelBytes = chan.bytesReceived() - base;
-    }
-
-    // --- Per node: link frame, translate, evaluate. ---
-    std::vector<std::vector<Label>> nodeOut(plan.nodes.size());
-    uint64_t link = 0;
-    for (size_t n = 0; n < plan.nodes.size(); ++n) {
-        uint32_t node_links = 0;
-        for (const InputSource &s : plan.sources[n])
-            node_links += s.kind == SourceKind::Link ? 1 : 0;
-        if (node_links > 0) {
-            const std::vector<uint8_t> frame = transport.recvFrame();
-            const LinkTableFrame header = parseLinkTableFrame(frame);
-            if (header.node != n || header.count != node_links)
-                throw NetError(
-                    "link-table frame for node " +
-                    std::to_string(header.node) + " (" +
-                    std::to_string(header.count) +
-                    " tables) arrived while evaluating node " +
-                    std::to_string(n));
-            res.linkBytes += frame.size();
-            ++res.linkFrames;
-            size_t at = header.payloadOffset;
-            for (size_t i = 0; i < plan.sources[n].size(); ++i) {
-                const InputSource &s = plan.sources[n][i];
-                if (s.kind != SourceKind::Link)
-                    continue;
-                LinkTable t;
-                t.row[0] = Label::fromBytes(frame.data() + at);
-                t.row[1] =
-                    Label::fromBytes(frame.data() + at + kLabelBytes);
-                at += kLinkTableBytes;
-                inputs[n][i] = translateLinkLabel(
-                    t, nodeOut[s.from.node][s.from.bit], link);
-                ++link;
-            }
-        }
-        const uint64_t frames_before = transport.framesReceived();
-        const size_t base = chan.bytesReceived();
-        nodeOut[n] = evaluateStreaming(
-            nls[n], inputs[n], remote_fp.segmentTables,
-            [&](GarbledTable *tables, size_t k) {
-                chan.recvTables(tables, k);
-            });
-        res.tableBytes += chan.bytesReceived() - base;
-        res.tableSegments += transport.framesReceived() - frames_before;
-    }
-
-    // --- Decode and echo. ---
-    {
-        const size_t base = chan.bytesReceived();
-        std::vector<bool> decode(plan.outputs.size());
-        for (size_t i = 0; i < decode.size(); ++i)
-            decode[i] = chan.recvBit();
-        res.outputDecodeBytes = chan.bytesReceived() - base;
-        res.outputs.resize(plan.outputs.size());
-        for (size_t i = 0; i < plan.outputs.size(); ++i) {
-            const PortRef &ref = plan.outputs[i];
-            res.outputs[i] =
-                nodeOut[ref.node][ref.bit].lsb() != decode[i];
-        }
-    }
-    for (bool b : res.outputs)
-        chan.sendBit(b);
-    chan.flush();
-    res.controlBytes += res.outputs.size();
-
-    res.totalBytes = res.tableBytes + res.inputLabelBytes + res.otBytes +
-                     res.linkBytes + res.outputDecodeBytes;
-    res.seconds =
-        std::chrono::duration<double>(Clock::now() - start).count();
+    SessionLayout session = lowerPlan(plan, nls, {}, evaluator_bits);
+    session.start = start;
+    RemoteResult res = runEvaluatorSession(session, transport, opts);
+    res.components = uint32_t(plan.nodes.size());
+    res.links = plan.numLinks();
     return res;
 }
 

@@ -20,16 +20,17 @@
  * (serve/component_pool.h) the request-time cost of a circuit the
  * server has never seen is link tables only.
  *
- * runChainGarbler / runChainEvaluator run the two-party protocol over
- * an established Transport, mirroring net/remote.cc phase for phase:
- * fingerprint, IKNP OT for evaluator-driven ports, direct labels for
- * garbler/constant ports, then per node a link-table frame
- * (net/wire.h's kLinkTableFrameKind) followed by the component's AND
- * tables through the existing segment framing, finally decode bits
- * and the result echo. Both return the same RemoteResult as a
- * monolithic session, with its chain counters filled: byte accounting
- * is category-exact on both sides, linkBytes being the one category
- * a monolithic session never has.
+ * runChainGarbler / runChainEvaluator are the chained lowering of the
+ * one two-party session body (net/remote.h): each plan node becomes a
+ * garbled unit whose link slots say which earlier output drives which
+ * input, evaluator-driven ports become OT ports, and garbler-driven
+ * and constant ports plus each node's constant-one label fill the
+ * input-label window. The body then runs the same phases as for a
+ * monolithic netlist — fingerprint, OT window, input labels, per node
+ * a link-table frame and the node's tables, decode bits and result
+ * echo — and returns the same RemoteResult with the chain counters
+ * filled: linkBytes is the one byte category a monolithic session
+ * never has.
  *
  * Security: each GarbledComponent must be linked into at most one
  * session (the provider contract); the translation rows of a reused
@@ -114,23 +115,9 @@ inline constexpr uint32_t kMaxChainNodes = 1u << 16;
 /** Upper bound on declared plan inputs per party. */
 inline constexpr uint32_t kMaxChainInputs = 1u << 20;
 
-/**
- * Hash-tweak domain base for link-table rows. Garbling tweaks are
- * dense near zero, base OT uses "BOT_" (0x424f54...), the IKNP
- * extension "OTEX_" (0x4f5445...): the "CLNK" prefix keeps link
- * encryption in its own domain, offset by the plan-global link index.
- * The analyzer (circuit/analyze.h) proves every session tweak stays
- * inside this domain and is used exactly once.
- */
-inline constexpr uint64_t kChainLinkTweakBase =
-    0x434c4e4b00000000ull; // "CLNK"
-
-/** The tweak keying link ordinal @p link_index. */
-constexpr uint64_t
-linkTweakOf(uint64_t link_index)
-{
-    return kChainLinkTweakBase + link_index;
-}
+/** The link-table primitive (gc/garble.h), by its chain-layer name. */
+using haac::kChainLinkTweakBase;
+using haac::linkTweakOf;
 
 /**
  * A chaining plan: component DAG + wiring + output selection.
@@ -181,31 +168,6 @@ struct ChainPlan
                                const std::vector<bool> &evaluator_bits)
         const;
 };
-
-/** One link's label-translation table (2 rows, 32 bytes). */
-struct LinkTable
-{
-    Label row[2];
-};
-
-inline constexpr size_t kLinkTableBytes = 2 * kLabelBytes;
-
-/**
- * Build the translation table joining a producer output wire to a
- * consumer input wire. @p link_index is the plan-global link ordinal
- * (scan order over nodes, then input bits): it keys the hash tweak,
- * so every link in a session hashes under a distinct key.
- */
-LinkTable buildLinkTable(const Label &producer_zero,
-                         const Label &producer_offset,
-                         const Label &consumer_zero,
-                         const Label &consumer_offset,
-                         uint64_t link_index);
-
-/** Evaluator side: producer's active label -> consumer's. */
-Label translateLinkLabel(const LinkTable &table,
-                         const Label &producer_active,
-                         uint64_t link_index);
 
 /**
  * All of a plan's link tables, in plan-global link order.

@@ -18,9 +18,6 @@ DependenceGraph::DependenceGraph(const HaacProgram &prog)
         levels_[k] = lvl + 1;
         numLevels_ = std::max(numLevels_, lvl + 1);
     }
-    levelSizes_.assign(numLevels_ + 1, 0);
-    for (uint32_t lvl : levels_)
-        ++levelSizes_[lvl];
 }
 
 double

@@ -31,14 +31,10 @@ class DependenceGraph
     /** Average instructions per level (Table 2's ILP column). */
     double averageIlp() const;
 
-    /** Instruction count per level (index 1..numLevels). */
-    const std::vector<uint32_t> &levelSizes() const { return levelSizes_; }
-
     const std::vector<uint32_t> &levels() const { return levels_; }
 
   private:
     std::vector<uint32_t> levels_;
-    std::vector<uint32_t> levelSizes_;
     uint32_t numLevels_ = 0;
 };
 

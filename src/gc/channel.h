@@ -156,7 +156,10 @@ class Channel : public ByteChannel
     void
     writeBytes(const uint8_t *data, size_t n) override
     {
-        buffer_.insert(buffer_.end(), data, data + n);
+        const size_t at = buffer_.size();
+        buffer_.resize(at + n);
+        if (n > 0)
+            std::memcpy(buffer_.data() + at, data, n);
     }
 
     void

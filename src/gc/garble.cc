@@ -48,4 +48,28 @@ evaluateGates(const Netlist &nl, std::vector<Label> &labels,
     return used;
 }
 
+LinkTable
+buildLinkTable(const Label &producer_zero, const Label &producer_offset,
+               const Label &consumer_zero, const Label &consumer_offset,
+               uint64_t link_index)
+{
+    const Label y1 = producer_zero ^ producer_offset;
+    const Label x1 = consumer_zero ^ consumer_offset;
+    Label h[2] = {producer_zero, y1};
+    hashRekeyedFused(linkTweakOf(link_index), h, 2, 0, h);
+    LinkTable t;
+    t.row[producer_zero.lsb() ? 1 : 0] = consumer_zero ^ h[0];
+    t.row[y1.lsb() ? 1 : 0] = x1 ^ h[1];
+    return t;
+}
+
+Label
+translateLinkLabel(const LinkTable &table, const Label &producer_active,
+                   uint64_t link_index)
+{
+    Label h;
+    hashRekeyedFused(linkTweakOf(link_index), &producer_active, 1, 0, &h);
+    return table.row[producer_active.lsb() ? 1 : 0] ^ h;
+}
+
 } // namespace haac

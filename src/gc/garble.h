@@ -159,6 +159,64 @@ size_t evaluateGates(const Netlist &nl, std::vector<Label> &labels,
                      GateCursor &cur, const GarbledTable *tables,
                      size_t count);
 
+/**
+ * @name Link tables: label translation between independent garblings
+ *
+ * A link joins a producer output wire of one garbling to a consumer
+ * input wire of another (chain/link.h) with two rows:
+ *
+ *   row[lsb(Y_v)] = X_v ^ H(Y_v, linkTweakOf(link_index))   v in {0, 1}
+ *
+ * where Y_v / X_v are the producer's / consumer's labels for value v.
+ * FreeXOR keeps lsb(offset) = 1, so the rows land in distinct slots
+ * and an evaluator holding one Y decrypts exactly one row.
+ */
+/// @{
+
+/**
+ * Hash-tweak domain base for link-table rows. Garbling tweaks are
+ * dense near zero, base OT uses "BOT_" (0x424f54...), the IKNP
+ * extension "OTEX_" (0x4f5445...): the "CLNK" prefix keeps link
+ * encryption in its own domain, offset by the plan-global link index.
+ * The analyzer (circuit/analyze.h) proves every session tweak stays
+ * inside this domain and is used exactly once.
+ */
+inline constexpr uint64_t kChainLinkTweakBase =
+    0x434c4e4b00000000ull; // "CLNK"
+
+/** The tweak keying link ordinal @p link_index. */
+constexpr uint64_t
+linkTweakOf(uint64_t link_index)
+{
+    return kChainLinkTweakBase + link_index;
+}
+
+/** One link's label-translation table (2 rows, 32 bytes). */
+struct LinkTable
+{
+    Label row[2];
+};
+
+inline constexpr size_t kLinkTableBytes = 2 * kLabelBytes;
+
+/**
+ * Build the translation table joining a producer output wire to a
+ * consumer input wire. @p link_index is the session-global link
+ * ordinal: it keys the hash tweak, so every link in a session hashes
+ * under a distinct key.
+ */
+LinkTable buildLinkTable(const Label &producer_zero,
+                         const Label &producer_offset,
+                         const Label &consumer_zero,
+                         const Label &consumer_offset,
+                         uint64_t link_index);
+
+/** Evaluator side: producer's active label -> consumer's. */
+Label translateLinkLabel(const LinkTable &table,
+                         const Label &producer_active,
+                         uint64_t link_index);
+/// @}
+
 /** The table count handed to an evaluation does not match the circuit. */
 struct TableCountError : std::invalid_argument
 {

@@ -23,12 +23,6 @@ NetChannel::~NetChannel()
 }
 
 void
-NetChannel::setFlushThreshold(size_t bytes)
-{
-    flushThreshold_ = bytes > 0 ? bytes : 1;
-}
-
-void
 NetChannel::sendTableSegments(const std::vector<GarbledTable> &tables,
                               uint32_t segment_tables)
 {

@@ -45,9 +45,6 @@ class NetChannel : public ByteChannel
     /** Send buffered bytes as one frame now (no-op when empty). */
     void flush() override;
 
-    /** Change the coalescing threshold (takes effect on next write). */
-    void setFlushThreshold(size_t bytes);
-
     /**
      * Send @p tables @p segment_tables per write. With the flush
      * threshold at one segment of tables, every full segment leaves as

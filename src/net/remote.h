@@ -1,39 +1,56 @@
 /**
  * @file
- * The two-machine GC protocol: one side of runProtocol() per process.
+ * The two-machine GC protocol: one side of a session per process.
  *
- * Both parties hold the same Netlist (the circuit is public; a
- * 38-byte fingerprint exchanged up front catches disagreement before
- * any label moves and carries the garbler's segmenting + base-OT
- * cache decision). The protocol then runs the OT phase — base OT +
- * IKNP extension with the KOS15 check (gc/ot_ext.h) — after which the
- * garbler streams input labels, garbled tables in segments, and
- * decode bits, while the evaluator runs the gate kernel over each
- * segment the moment it arrives (gc/streaming.h): memory stays
- * O(wires) while communication is O(AND gates).
+ * Every session runs one body. A lowering describes the session as
+ * data — a SessionLayout of garbled units and slot lists — and
+ * runGarblerSession / runEvaluatorSession run it, in order:
  *
- * Byte accounting matches the in-process ProtocolResult *exactly*,
- * category by category (tables, input labels, OT down- and uplink,
- * output decode): the four downlink categories count protocol payload
- * in the garbler→evaluator direction, otUplinkBytes the real OT's
- * evaluator→garbler traffic, all measured identically by both sides.
- * The circuit fingerprint and the result echo that lets the garbler
- * learn the output too are control traffic, reported separately — the
+ *   1. the fingerprint, which catches disagreement on the circuit
+ *      before any label moves and carries the garbler's segmenting
+ *      and base-OT cache decision;
+ *   2. the OT window: one IKNP batch with the KOS15 check
+ *      (gc/ot_ext.h) over the evaluator's ports, then any labels that
+ *      ride the window;
+ *   3. the input-label window: the garbler's direct labels;
+ *   4. per garbled unit, a link-table frame (net/wire.h) when the unit
+ *      has links, then its tables in segment frames, which the
+ *      evaluator runs the gate kernel over as they arrive
+ *      (gc/streaming.h): memory stays O(wires) while communication is
+ *      O(AND gates);
+ *   5. the output decode bits, then the result echo that lets the
+ *      garbler learn the output too.
+ *
+ * Two lowerings feed it. A netlist (runRemoteGarbler /
+ * runRemoteEvaluator) is one unit, either garbled live or replayed
+ * from a captured instance; a chained plan (chain/link.h) is one
+ * captured component per node.
+ *
+ * Byte accounting is counted once, in the body, and matches the
+ * in-process ProtocolResult *exactly*, category by category (tables,
+ * input labels, OT down- and uplink, output decode): the downlink
+ * categories count protocol payload in the garbler→evaluator
+ * direction, otUplinkBytes the real OT's evaluator→garbler traffic,
+ * all measured identically by both sides. The fingerprint and the
+ * result echo are control traffic, reported separately — the
  * in-process baseline has no analogue for them.
  */
 #ifndef HAAC_NET_REMOTE_H
 #define HAAC_NET_REMOTE_H
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "circuit/netlist.h"
+#include "gc/garble.h"
 #include "gc/ot_ext.h"
 #include "net/transport.h"
 
 namespace haac {
 
+class StreamingGarbler;
 struct GarbledInstance;
 
 /**
@@ -58,29 +75,6 @@ struct OtConnectionCache
     std::unique_ptr<OtExtReceiver> receiver; ///< evaluator side
 };
 
-/** True when @p cache (may be null) holds a ready extension sender. */
-bool otSenderCached(const OtConnectionCache *cache);
-
-/**
- * The garbler's OT phase: one IKNP batch offering (m0[i], m1[i]) over
- * @p chan. With @p reuse (announced in the fingerprint), the cache's
- * sender is rebound to @p chan; otherwise a fresh sender runs the base
- * phase and, when @p cache is set, is stored back for the next session.
- */
-void sendOtBatch(ByteChannel &chan, OtConnectionCache *cache, bool reuse,
-                 const std::vector<Label> &m0,
-                 const std::vector<Label> &m1);
-
-/**
- * The evaluator's mirror of sendOtBatch(): returns the label @p choices
- * selects from each pair. @p cached is the garbler's announcement; it
- * throws NetError when this connection has no ready receiver to reuse
- * (a cached sender against a fresh receiver would deadlock).
- */
-std::vector<Label> receiveOtBatch(ByteChannel &chan,
-                                  OtConnectionCache *cache, bool cached,
-                                  const std::vector<bool> &choices);
-
 struct RemoteOptions
 {
     /** Garbled tables per streamed segment frame (0 is read as 1). */
@@ -100,8 +94,8 @@ struct RemoteOptions
 };
 
 /**
- * One party's view of a completed remote execution: a monolithic
- * netlist (runRemoteGarbler / runRemoteEvaluator) or a chained plan
+ * One party's view of a completed session: a monolithic netlist
+ * (runRemoteGarbler / runRemoteEvaluator) or a chained plan
  * (chain/link.h's runChainGarbler / runChainEvaluator).
  */
 struct RemoteResult
@@ -162,6 +156,137 @@ struct RemoteResult
         return seconds > 0 ? double(gates) / seconds : 0;
     }
 };
+
+/**
+ * One fingerprint field. A session's fingerprint is its list of
+ * fields, written little-endian in order. The evaluator reads the
+ * same list and refuses the session when any Shape field differs from
+ * its own or the OT byte names anything but IKNP (1); Segment and
+ * Cached are the garbler's choices, Reserved is written as zero and
+ * ignored on read.
+ */
+struct FingerprintField
+{
+    enum Kind : uint8_t
+    {
+        Shape,
+        Reserved,
+        Segment, ///< tables per streamed segment frame
+        Ot,      ///< OT protocol byte
+        Cached,  ///< 1 = this session reuses the base-OT setup
+    };
+    Kind kind = Shape;
+    uint8_t width = 4;     ///< bytes on the wire: 1, 4 or 8
+    const char *name = ""; ///< Shape fields, for the mismatch message
+    uint64_t value = 0;    ///< Shape fields
+};
+
+/** Input wires [first, first + count) of garbled unit @p unit. */
+struct WireRun
+{
+    uint32_t unit = 0;
+    WireId first = 0;
+    uint32_t count = 1;
+};
+
+/**
+ * A slot list: input wires of the garbled units, in wire order, with
+ * this party's bit for each where it has one — the garbler's values
+ * for labels it sends, the evaluator's choices for OT ports. The other
+ * party's values are never read and may be left empty.
+ */
+struct InputSlots
+{
+    std::vector<WireRun> runs;
+    std::vector<bool> values;
+
+    /** Append one wire and its value. */
+    void
+    add(uint32_t unit, WireId wire, bool value)
+    {
+        runs.push_back({unit, wire, 1});
+        values.push_back(value);
+    }
+
+    /** Wires across all runs. */
+    size_t
+    size() const
+    {
+        size_t n = 0;
+        for (const WireRun &r : runs)
+            n += r.count;
+        return n;
+    }
+};
+
+/** Output bit @p bit of garbled unit @p unit. */
+struct OutputSlot
+{
+    uint32_t unit = 0;
+    uint32_t bit = 0;
+};
+
+/**
+ * A unit input wire driven by an earlier unit's output through a link
+ * table. The garbler fills @p table; the evaluator receives it.
+ */
+struct LinkSlot
+{
+    WireId wire = 0;
+    OutputSlot from;
+    LinkTable table;
+};
+
+/** One garbled unit: a netlist and, on the garbler, its garbling. */
+struct SessionUnit
+{
+    const Netlist *netlist = nullptr;
+    StreamingGarbler *live = nullptr; ///< garbler: this or captured
+    const GarbledInstance *captured = nullptr;
+    /** Links into this unit, in session link order: the unit's tables
+     *  follow one link-table frame when there are any. */
+    std::vector<LinkSlot> links;
+};
+
+/**
+ * A session described as data: what each of the body's phases sends,
+ * and in what order. Both parties lower the same public circuit to
+ * the same layout, so their windows line up byte for byte.
+ */
+struct SessionLayout
+{
+    std::vector<FingerprintField> fingerprint;
+    std::vector<SessionUnit> units;
+    /** Evaluator-driven inputs, one OT each, in batch order. */
+    InputSlots otPorts;
+    /** Garbler labels sent after the OT batch, counted as OT bytes. */
+    InputSlots otWindowLabels;
+    /** Garbler labels of the input-label window. */
+    InputSlots directLabels;
+    std::vector<OutputSlot> outputs;
+    /** Start of the session's wall time (RemoteResult::seconds). */
+    std::chrono::steady_clock::time_point start =
+        std::chrono::steady_clock::now();
+};
+
+/**
+ * The garbler's session body over an established (handshaken)
+ * transport. Fills every RemoteResult field but the lowering's own:
+ * pooledGarbling and the chain counters components, links and
+ * pooledComponents.
+ */
+RemoteResult runGarblerSession(const SessionLayout &session,
+                               Transport &transport,
+                               const RemoteOptions &opts);
+
+/**
+ * The evaluator's session body. Throws NetError before sending
+ * anything when the garbler's fingerprint disagrees with
+ * @p session's or names any OT but IKNP.
+ */
+RemoteResult runEvaluatorSession(const SessionLayout &session,
+                                 Transport &transport,
+                                 const RemoteOptions &opts);
 
 /**
  * Run the garbler's side over an established (handshaken) transport.

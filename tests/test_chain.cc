@@ -506,6 +506,160 @@ TEST(ChainProtocol, ProviderReturningWrongComponentRejected)
     EXPECT_THROW(
         runChainGarbler(wl.plan, wl.garblerBits, *gend, wrong),
         std::invalid_argument);
+
+    // The right spec over an instance captured at another width: the
+    // shape check against the node's netlist must refuse it too.
+    const ComponentProvider narrow = [](uint32_t,
+                                        const ComponentSpec &spec) {
+        AcquiredComponent acq;
+        acq.component = std::make_unique<GarbledComponent>(
+            captureComponent({spec.kind, spec.width + 1}, 1));
+        acq.component->spec = spec;
+        return acq;
+    };
+    EXPECT_THROW(
+        runChainGarbler(wl.plan, wl.garblerBits, *gend, narrow),
+        std::invalid_argument);
+    EXPECT_EQ(gend->rawBytesSent(), 0u);
+}
+
+namespace {
+
+/** @p kind:4 fed port by port from @p sources (a, then b). */
+void
+addNode(ChainPlan &plan, ComponentKind kind,
+        std::vector<InputSource> sources)
+{
+    plan.nodes.push_back({kind, 4});
+    plan.sources.push_back(std::move(sources));
+}
+
+std::vector<InputSource>
+garblerPort(uint32_t first)
+{
+    std::vector<InputSource> s;
+    for (uint32_t i = 0; i < 4; ++i)
+        s.push_back(InputSource::garbler(first + i));
+    return s;
+}
+
+std::vector<InputSource>
+evaluatorPort()
+{
+    std::vector<InputSource> s;
+    for (uint32_t i = 0; i < 4; ++i)
+        s.push_back(InputSource::evaluator(i));
+    return s;
+}
+
+std::vector<InputSource>
+linkPort(uint32_t node)
+{
+    std::vector<InputSource> s;
+    for (uint32_t i = 0; i < 4; ++i)
+        s.push_back(InputSource::link(node, i));
+    return s;
+}
+
+std::vector<InputSource>
+concat(std::vector<InputSource> a, const std::vector<InputSource> &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+} // namespace
+
+TEST(ChainProtocol, EdgeShapedPlansMatchPlaintext)
+{
+    // Plans at the edges of what a chained session carries: no OT at
+    // all, a node that streams no tables, constant ports, and a plan
+    // output read from a node that is not the last.
+    struct Case
+    {
+        const char *name;
+        ChainPlan plan;
+    };
+    std::vector<Case> cases;
+    {
+        ChainPlan p; // no evaluator ports: the OT window stays empty
+        p.garblerInputs = 8;
+        addNode(p, ComponentKind::Add, concat(garblerPort(0),
+                                              garblerPort(4)));
+        p.outputs = {{0, 0}, {0, 1}, {0, 2}, {0, 3}};
+        cases.push_back({"no evaluator ports", p});
+    }
+    {
+        ChainPlan p; // XOR has no AND gate: no table frame for node 0
+        p.garblerInputs = 4;
+        p.evaluatorInputs = 4;
+        addNode(p, ComponentKind::Xor, concat(garblerPort(0),
+                                              evaluatorPort()));
+        addNode(p, ComponentKind::Add, concat(linkPort(0),
+                                              evaluatorPort()));
+        p.outputs = {{1, 0}, {1, 1}, {1, 2}, {1, 3}};
+        cases.push_back({"zero-AND node", p});
+    }
+    {
+        ChainPlan p; // public constants on every port kind's side
+        p.garblerInputs = 4;
+        p.evaluatorInputs = 4;
+        std::vector<InputSource> s = {InputSource::one()};
+        s = concat(s, evaluatorPort());
+        for (uint32_t i = 0; i < 4; ++i)
+            s.push_back(i % 2 ? InputSource::one() : InputSource::zero());
+        addNode(p, ComponentKind::Mux, s); // s = 1: picks t
+        addNode(p, ComponentKind::Sub, concat(linkPort(0),
+                                              garblerPort(0)));
+        p.sources[1][7] = InputSource::zero();
+        p.outputs = {{1, 0}, {1, 1}, {1, 2}, {1, 3}};
+        cases.push_back({"constant ports", p});
+    }
+    {
+        ChainPlan p; // outputs from node 0 as well as the last node
+        p.garblerInputs = 4;
+        p.evaluatorInputs = 4;
+        addNode(p, ComponentKind::Add, concat(garblerPort(0),
+                                              evaluatorPort()));
+        addNode(p, ComponentKind::Cmp, concat(linkPort(0),
+                                              garblerPort(0)));
+        p.outputs = {{0, 3}, {1, 0}, {0, 0}};
+        cases.push_back({"output from a non-final node", p});
+    }
+
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ASSERT_EQ(c.plan.check(), "");
+        const std::vector<bool> gbits = u64Bits(0xb, c.plan.garblerInputs);
+        const std::vector<bool> ebits =
+            u64Bits(0x6, c.plan.evaluatorInputs);
+        const std::vector<bool> expected = c.plan.evaluate(gbits, ebits);
+        EXPECT_EQ(c.plan.monolithic().evaluate(gbits, ebits), expected);
+
+        auto [gres, eres] = runChainPair(c.plan, gbits, ebits,
+                                         freshComponentProvider(77));
+        // Nodes with AND gates stream one frame each (all fit a
+        // 1024-table segment); a zero-AND node streams none.
+        uint64_t frames = 0;
+        for (const ComponentSpec &spec : c.plan.nodes)
+            frames += buildComponent(spec).numAndGates() > 0 ? 1 : 0;
+        const uint32_t m = c.plan.numEvaluatorPorts();
+        for (const RemoteResult *r : {&gres, &eres}) {
+            EXPECT_EQ(r->outputs, expected);
+            EXPECT_EQ(r->totalBytes,
+                      r->tableBytes + r->inputLabelBytes + r->otBytes +
+                          r->linkBytes + r->outputDecodeBytes);
+            EXPECT_EQ(r->tableBytes,
+                      c.plan.totalAndGates() * kTableBytes);
+            EXPECT_EQ(r->tableSegments, frames);
+            EXPECT_EQ(r->otBytes, m > 0 ? expectedOtDownlink(m) : 0u);
+            EXPECT_EQ(r->otUplinkBytes, m > 0 ? expectedOtUplink(m) : 0u);
+            EXPECT_EQ(r->inputLabelBytes,
+                      (c.plan.numDirectPorts() + c.plan.nodes.size()) *
+                          kLabelBytes);
+            EXPECT_EQ(r->links, c.plan.numLinks());
+        }
+    }
 }
 
 TEST(ChainProtocol, BaseOtReusedAcrossChainedSessions)

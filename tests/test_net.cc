@@ -481,6 +481,31 @@ TEST(Remote, ZeroGateCircuitWorks)
     expectMatchesProtocol(nl, {true}, {false}, 11, 8);
 }
 
+TEST(Remote, NoEvaluatorInputsRunsNoOtPhase)
+{
+    // Only the garbler has inputs and the netlist declares no constant
+    // wire: the OT window is empty in both directions.
+    Netlist nl;
+    nl.numGarblerInputs = 3;
+    nl.gates = {{GateOp::And, 0, 1}, {GateOp::Xor, 1, 2}};
+    nl.outputs = {3, 4};
+    ASSERT_EQ(nl.check(), "");
+    ASSERT_EQ(nl.numEvaluatorInputs, 0u);
+    ASSERT_EQ(nl.constOne, kNoWire);
+
+    expectMatchesProtocol(nl, {true, true, false}, {}, 5, 8);
+    auto [gres, eres] =
+        runRemotePair(nl, {true, true, false}, {}, 5, 8);
+    for (const RemoteResult *r : {&gres, &eres}) {
+        EXPECT_EQ(r->outputs, std::vector<bool>({true, true}));
+        EXPECT_EQ(r->otBytes, 0u);
+        EXPECT_EQ(r->otUplinkBytes, 0u);
+        EXPECT_FALSE(r->otSetupReused);
+        EXPECT_EQ(r->totalBytes, r->tableBytes + r->inputLabelBytes +
+                                     r->outputDecodeBytes);
+    }
+}
+
 TEST(Remote, CircuitMismatchFailsBothSides)
 {
     const Netlist lhs = adderCircuit(8);
