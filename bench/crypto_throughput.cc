@@ -6,7 +6,10 @@
  * run the gate kernel's default policy, the fused hash the protocols
  * use, and BM_RekeyedOverFixedKey reports the ratio itself. The
  * BM_Ec* benchmarks time the base-OT group: each scalar multiply shape
- * and batched point compression.
+ * and batched point compression. BM_OtExtBatch times one 8,192-OT
+ * IKNP+KOS batch end to end, and BM_PrgBytes, BM_HashRekeyedBatch and
+ * BM_Transpose128 its three kernels: the column PRG, the label masks
+ * and the column-to-row pivot.
  */
 #include <benchmark/benchmark.h>
 
@@ -14,11 +17,14 @@
 #include <vector>
 
 #include "crypto/aes128.h"
+#include "crypto/bitmatrix.h"
 #include "crypto/curve25519.h"
 #include "crypto/gf128.h"
 #include "crypto/hash.h"
 #include "crypto/prg.h"
+#include "gc/channel.h"
 #include "gc/garble.h"
+#include "gc/ot_ext.h"
 
 namespace haac {
 namespace {
@@ -200,6 +206,89 @@ BM_PrgNextLabel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PrgNextLabel);
+
+/** One IKNP column of an 8,192-OT batch: 65 blocks. */
+void
+BM_PrgBytes(benchmark::State &state)
+{
+    constexpr size_t kColumnBytes = 1040;
+    Prg prg(4);
+    std::vector<uint8_t> column(kColumnBytes);
+    for (auto _ : state) {
+        prg.nextBytes(column.data(), column.size());
+        benchmark::DoNotOptimize(column.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(int64_t(state.iterations() * kColumnBytes));
+}
+BENCHMARK(BM_PrgBytes);
+
+/**
+ * The OT masks of an 8,192-OT batch: 1 block per tweak on the
+ * receiver, 2 on the sender.
+ */
+void
+BM_HashRekeyedBatch(benchmark::State &state)
+{
+    constexpr size_t kOts = 8192;
+    const int per = int(state.range(0));
+    std::vector<Label> x(size_t(per) * kOts, someLabel(10));
+    uint64_t tweak = 0;
+    for (auto _ : state) {
+        hashRekeyedBatch(tweak, x.data(), kOts, per, x.data());
+        tweak += kOts;
+        benchmark::DoNotOptimize(x.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(int64_t(state.iterations() * kOts));
+}
+BENCHMARK(BM_HashRekeyedBatch)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
+
+void
+BM_Transpose128(benchmark::State &state)
+{
+    Prg prg(5);
+    std::vector<uint8_t> cols(128 * kLabelBytes);
+    prg.nextBytes(cols.data(), cols.size());
+    Label rows[128];
+    for (auto _ : state) {
+        transpose128Block(cols.data(), kLabelBytes, rows);
+        benchmark::DoNotOptimize(rows);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_Transpose128);
+
+/**
+ * One 8,192-OT batch after a one-time base phase, both halves driven
+ * in protocol order over an in-process DuplexChannel in one thread.
+ */
+void
+BM_OtExtBatch(benchmark::State &state)
+{
+    constexpr size_t kOts = 8192;
+    DuplexChannel chan;
+    OtExtSender sender(chan.toEvaluator, chan.toGarbler, uint64_t(900));
+    OtExtReceiver receiver(chan.toGarbler, chan.toEvaluator, uint64_t(800));
+    receiver.start();
+    sender.setup();
+    receiver.setup();
+    Prg prg(6);
+    std::vector<Label> m0(kOts), m1(kOts);
+    std::vector<bool> choices(kOts);
+    for (size_t i = 0; i < kOts; ++i) {
+        m0[i] = prg.nextLabel();
+        m1[i] = prg.nextLabel();
+        choices[i] = prg.nextBit();
+    }
+    for (auto _ : state) {
+        receiver.sendChoices(choices);
+        sender.send(m0, m1);
+        benchmark::DoNotOptimize(receiver.receiveLabels());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations() * kOts));
+}
+BENCHMARK(BM_OtExtBatch)->Unit(benchmark::kMicrosecond);
 
 /** 64 seeded scalars, cycled so no two neighbouring calls repeat one. */
 std::vector<ec::Scalar>

@@ -1,7 +1,7 @@
 #include "crypto/aes128.h"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "crypto/aesni.h"
 
@@ -191,27 +191,44 @@ Aes128::encryptBlock(const Label &in) const
     return Label::fromBytes(buf);
 }
 
+#if defined(HAAC_USE_AESNI)
+namespace {
+
+/**
+ * @p m <= kAesBlocksInFlight blocks through the rounds together. With
+ * the count fixed at compile time the states stay in registers.
+ */
+template <size_t M>
+inline void
+encryptGroup(const __m128i *rk, const Label *in, Label *out, size_t m)
+{
+    __m128i s[kAesBlocksInFlight];
+    for (size_t i = 0; i < (M ? M : m); ++i)
+        s[i] = _mm_xor_si128(aesni::load(in[i]), _mm_loadu_si128(rk));
+    for (int round = 1; round < kAesRounds; ++round) {
+        const __m128i k = _mm_loadu_si128(rk + round);
+        for (size_t i = 0; i < (M ? M : m); ++i)
+            s[i] = _mm_aesenc_si128(s[i], k);
+    }
+    const __m128i k = _mm_loadu_si128(rk + kAesRounds);
+    for (size_t i = 0; i < (M ? M : m); ++i)
+        out[i] = aesni::store(_mm_aesenclast_si128(s[i], k));
+}
+
+} // namespace
+#endif
+
 void
 Aes128::encryptBlocks(const Label *in, Label *out, size_t n) const
 {
 #if defined(HAAC_USE_AESNI)
     if (aesni::hasAes()) {
         const auto *rk = reinterpret_cast<const __m128i *>(roundKeys_.data());
-        for (size_t base = 0; base < n; base += 4) {
-            const size_t m = std::min<size_t>(4, n - base);
-            __m128i s[4];
-            for (size_t i = 0; i < m; ++i)
-                s[i] = _mm_xor_si128(aesni::load(in[base + i]),
-                                     _mm_loadu_si128(rk));
-            for (int round = 1; round < kAesRounds; ++round) {
-                const __m128i k = _mm_loadu_si128(rk + round);
-                for (size_t i = 0; i < m; ++i)
-                    s[i] = _mm_aesenc_si128(s[i], k);
-            }
-            const __m128i k = _mm_loadu_si128(rk + kAesRounds);
-            for (size_t i = 0; i < m; ++i)
-                out[base + i] = aesni::store(_mm_aesenclast_si128(s[i], k));
-        }
+        size_t at = 0;
+        for (; at + kAesBlocksInFlight <= n; at += kAesBlocksInFlight)
+            encryptGroup<kAesBlocksInFlight>(rk, in + at, out + at, 0);
+        if (at < n)
+            encryptGroup<0>(rk, in + at, out + at, n - at);
         return;
     }
 #endif

@@ -31,6 +31,12 @@ namespace haac {
 inline constexpr int kAesRounds = 10;
 inline constexpr size_t kAesExpandedKeyBytes = 16 * (kAesRounds + 1);
 
+/**
+ * Independent blocks Aes128::encryptBlocks() keeps in the AES pipeline
+ * at once: enough to cover aesenc's latency on current x86 cores.
+ */
+inline constexpr size_t kAesBlocksInFlight = 8;
+
 /** The key schedule's round constants, round 1 first (FIPS-197). */
 inline constexpr uint8_t kAesRcon[kAesRounds] = {
     0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36,
@@ -62,8 +68,8 @@ class Aes128
     Label encryptBlock(const Label &in) const;
 
     /**
-     * Encrypt @p n independent blocks, up to four at a time through
-     * the AES pipeline; @p out may alias @p in.
+     * Encrypt @p n independent blocks, up to kAesBlocksInFlight at a
+     * time through the AES pipeline; @p out may alias @p in.
      */
     void encryptBlocks(const Label *in, Label *out, size_t n) const;
 

@@ -1,11 +1,12 @@
 /**
  * @file
  * x86 AES-NI / SSSE3 / PCLMULQDQ building blocks shared by aes128.cc,
- * hash.cc and gf128.cc, the three files CMake compiles with
+ * hash.cc and gf128.cc, three of the files CMake compiles with
  * -maes -mssse3 -mpclmul when the compiler probe passes
- * (HAAC_USE_AESNI). Each kernel still checks CPUID once per process
- * through the predicates below, so a binary built here runs on an x86
- * CPU without the extensions, on the portable code.
+ * (HAAC_USE_AESNI; bitmatrix.cc is the fourth, for plain SSE2). Each
+ * kernel still checks CPUID once per process through the predicates
+ * below, so a binary built here runs on an x86 CPU without the
+ * extensions, on the portable code.
  */
 #ifndef HAAC_CRYPTO_AESNI_H
 #define HAAC_CRYPTO_AESNI_H

@@ -7,7 +7,9 @@
  * row (one 128-bit row per extended OT). The pivot between the two
  * views is a 128 x 128 bit transpose, done 64 x 64 words at a time
  * with the butterfly-exchange algorithm, so a batch of m OTs costs
- * O(m log 128) word operations instead of O(128 m) bit probes.
+ * O(m log 128) word operations instead of O(128 m) bit probes. x86
+ * builds use SSE2 instead: a byte transpose by unpacks, then one
+ * movemask per 16 entries.
  */
 #ifndef HAAC_CRYPTO_BITMATRIX_H
 #define HAAC_CRYPTO_BITMATRIX_H
@@ -38,6 +40,10 @@ void transpose64(uint64_t m[64]);
  */
 void transpose128Block(const uint8_t *cols, size_t col_stride,
                        Label rows[128]);
+
+/** The same transpose by 64 x 64 butterflies (the reference). */
+void transpose128BlockPortable(const uint8_t *cols, size_t col_stride,
+                               Label rows[128]);
 
 } // namespace haac
 

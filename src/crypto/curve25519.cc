@@ -3,6 +3,8 @@
 #include <cstring>
 #include <vector>
 
+#include "crypto/ct.h"
+
 namespace haac {
 namespace ec {
 
@@ -320,24 +322,11 @@ feNeg(u64 out[5], const u64 a[5])
     feSub(out, zero, a);
 }
 
-/**
- * All ones when @p bit (0 or 1) is set, else zero. The empty asm hides
- * the value from the optimizer, so no masked select below can be
- * turned back into a branch on a secret.
- */
-u64
-maskOf(u64 bit)
-{
-    u64 mask = 0 - bit;
-    __asm__("" : "+r"(mask));
-    return mask;
-}
-
-/** maskOf(a == b) for small @p a, @p b, without a comparison. */
+/** ctMask(a == b) for small @p a, @p b, without a comparison. */
 u64
 eqMask(u64 a, u64 b)
 {
-    return maskOf(((a ^ b) - 1) >> 63);
+    return ctMask(((a ^ b) - 1) >> 63);
 }
 
 /** out = mask ? in : out, limb by limb. */
@@ -580,7 +569,7 @@ struct Curve
             cmov(r, row[j], eqMask(mag, j + 1));
         Entry neg;
         negate(neg, r);
-        cmov(r, neg, maskOf(digitSign(digit)));
+        cmov(r, neg, ctMask(digitSign(digit)));
     }
 
     /** The signed 4-bit fixed window behind Point::mul. */
@@ -677,7 +666,7 @@ struct Curve
             toExt(h, c);
         }
         identity(t);
-        cmov(t, comb.top_, maskOf(u64(e[64])));
+        cmov(t, comb.top_, ctMask(u64(e[64])));
         madd(c, h, t);
         toExt(h, c);
         return h;
@@ -754,7 +743,7 @@ Point::dbl() const
 void
 Point::cmov(const Point &o, bool take)
 {
-    Curve::cmov(*this, o, maskOf(u64(take)));
+    Curve::cmov(*this, o, ctMask(u64(take)));
 }
 
 Point

@@ -25,30 +25,67 @@ gf128MulPortable(const Label &a, const Label &b)
     return Label(rlo, rhi);
 }
 
+#if defined(HAAC_USE_AESNI)
+namespace {
+
+/** Add the unreduced 256-bit product x * y into hi:lo. */
+inline void
+clmulAdd(__m128i x, __m128i y, __m128i &lo, __m128i &hi)
+{
+    const __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(x, y, 0x01),
+                                      _mm_clmulepi64_si128(x, y, 0x10));
+    lo = _mm_xor_si128(lo, _mm_xor_si128(_mm_clmulepi64_si128(x, y, 0x00),
+                                         _mm_slli_si128(mid, 8)));
+    hi = _mm_xor_si128(hi, _mm_xor_si128(_mm_clmulepi64_si128(x, y, 0x11),
+                                         _mm_srli_si128(mid, 8)));
+}
+
+/** hi:lo mod the field polynomial. */
+inline Label
+reduce(__m128i lo, __m128i hi)
+{
+    // x^128 = 0x87: fold the top word (at x^192) down by 64 bits,
+    // then the rest of hi (at x^128) into lo.
+    const __m128i poly = _mm_set_epi64x(0, 0x87);
+    const __m128i top = _mm_clmulepi64_si128(hi, poly, 0x01);
+    lo = _mm_xor_si128(lo, _mm_slli_si128(top, 8));
+    hi = _mm_xor_si128(hi, _mm_srli_si128(top, 8));
+    lo = _mm_xor_si128(lo, _mm_clmulepi64_si128(hi, poly, 0x00));
+    return aesni::store(lo);
+}
+
+} // namespace
+#endif
+
 Label
 gf128Mul(const Label &a, const Label &b)
 {
 #if defined(HAAC_USE_AESNI)
     if (aesni::hasClmul()) {
-        const __m128i x = aesni::load(a), y = aesni::load(b);
-        // The 256-bit product hi:lo.
-        __m128i lo = _mm_clmulepi64_si128(x, y, 0x00);
-        __m128i hi = _mm_clmulepi64_si128(x, y, 0x11);
-        const __m128i mid = _mm_xor_si128(_mm_clmulepi64_si128(x, y, 0x01),
-                                          _mm_clmulepi64_si128(x, y, 0x10));
-        lo = _mm_xor_si128(lo, _mm_slli_si128(mid, 8));
-        hi = _mm_xor_si128(hi, _mm_srli_si128(mid, 8));
-        // x^128 = 0x87: fold the top word (at x^192) down by 64 bits,
-        // then the rest of hi (at x^128) into lo.
-        const __m128i poly = _mm_set_epi64x(0, 0x87);
-        const __m128i top = _mm_clmulepi64_si128(hi, poly, 0x01);
-        lo = _mm_xor_si128(lo, _mm_slli_si128(top, 8));
-        hi = _mm_xor_si128(hi, _mm_srli_si128(top, 8));
-        lo = _mm_xor_si128(lo, _mm_clmulepi64_si128(hi, poly, 0x00));
-        return aesni::store(lo);
+        __m128i lo = _mm_setzero_si128(), hi = _mm_setzero_si128();
+        clmulAdd(aesni::load(a), aesni::load(b), lo, hi);
+        return reduce(lo, hi);
     }
 #endif
     return gf128MulPortable(a, b);
+}
+
+Label
+gf128InnerProduct(const Label *a, const Label *b, size_t n)
+{
+#if defined(HAAC_USE_AESNI)
+    if (aesni::hasClmul()) {
+        // Reduction is linear, so the products sum unreduced.
+        __m128i lo = _mm_setzero_si128(), hi = _mm_setzero_si128();
+        for (size_t j = 0; j < n; ++j)
+            clmulAdd(aesni::load(a[j]), aesni::load(b[j]), lo, hi);
+        return reduce(lo, hi);
+    }
+#endif
+    Label sum;
+    for (size_t j = 0; j < n; ++j)
+        sum ^= gf128MulPortable(a[j], b[j]);
+    return sum;
 }
 
 } // namespace haac

@@ -15,12 +15,20 @@
 #ifndef HAAC_CRYPTO_GF128_H
 #define HAAC_CRYPTO_GF128_H
 
+#include <cstddef>
+
 #include "crypto/label.h"
 
 namespace haac {
 
 /** a * b in GF(2^128), modulus x^128 + x^7 + x^2 + x + 1. */
 Label gf128Mul(const Label &a, const Label &b);
+
+/**
+ * The sum of a[j] * b[j] over j < n, the KOS15 combination. With
+ * PCLMULQDQ the products are summed unreduced and reduced once.
+ */
+Label gf128InnerProduct(const Label *a, const Label *b, size_t n);
 
 /** The same product in portable constant-time code (the reference). */
 Label gf128MulPortable(const Label &a, const Label &b);

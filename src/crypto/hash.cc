@@ -57,6 +57,49 @@ fusedAesni(uint64_t tweak, const Label *x, Label *out)
             _mm_aesenclast_si128(s[i], i < N0 ? k0 : k1), in[i]));
 }
 
+/**
+ * G tweaks of B blocks each (tweak + g for the g-th), all G key chains
+ * expanded round by round beside their blocks.
+ */
+template <int B, int G>
+void
+groupAesni(uint64_t tweak, const Label *x, Label *out)
+{
+    __m128i k[G], s[G * B];
+    for (int g = 0; g < G; ++g) {
+        k[g] = aesni::load(tweakKey(tweak + uint64_t(g)));
+        for (int i = 0; i < B; ++i)
+            s[B * g + i] = _mm_xor_si128(aesni::load(x[B * g + i]), k[g]);
+    }
+    for (int round = 1; round < kAesRounds; ++round) {
+        for (int g = 0; g < G; ++g) {
+            k[g] = aesni::nextRoundKey(k[g], round);
+            for (int i = 0; i < B; ++i)
+                s[B * g + i] = _mm_aesenc_si128(s[B * g + i], k[g]);
+        }
+    }
+    for (int g = 0; g < G; ++g) {
+        k[g] = aesni::nextRoundKey(k[g], kAesRounds);
+        for (int i = 0; i < B; ++i)
+            out[B * g + i] = aesni::store(
+                _mm_xor_si128(_mm_aesenclast_si128(s[B * g + i], k[g]),
+                              aesni::load(x[B * g + i])));
+    }
+}
+
+/** hashRekeyedBatch() for B blocks per tweak. */
+template <int B>
+void
+batchAesni(uint64_t tweak, const Label *x, size_t count, Label *out)
+{
+    constexpr size_t kGroup = kAesBlocksInFlight / B;
+    size_t g = 0;
+    for (; g + kGroup <= count; g += kGroup)
+        groupAesni<B, int(kGroup)>(tweak + g, x + B * g, out + B * g);
+    for (; g < count; ++g)
+        groupAesni<B, 1>(tweak + g, x + B * g, out + B * g);
+}
+
 using FusedFn = void (*)(uint64_t, const Label *, Label *);
 
 /** Indexed [n0 - 1][n1]. */
@@ -108,6 +151,28 @@ hashRekeyedFused(uint64_t tweak, const Label *x, int n0, int n1,
     const RekeyedHasher h1(tweak + 1);
     for (int i = n0; i < n0 + n1; ++i)
         out[i] = h1(x[i]);
+}
+
+void
+hashRekeyedBatch(uint64_t tweak, const Label *x, size_t count,
+                 int per_tweak, Label *out)
+{
+    if (per_tweak != 1 && per_tweak != 2)
+        throw std::invalid_argument("batched hash: unsupported block shape");
+#if defined(HAAC_USE_AESNI)
+    if (aesni::hasAes()) {
+        if (per_tweak == 1)
+            batchAesni<1>(tweak, x, count, out);
+        else
+            batchAesni<2>(tweak, x, count, out);
+        return;
+    }
+#endif
+    for (size_t g = 0; g < count; ++g) {
+        const RekeyedHasher h(tweak + g);
+        for (int i = 0; i < per_tweak; ++i)
+            out[per_tweak * g + i] = h(x[per_tweak * g + i]);
+    }
 }
 
 FixedKeyHasher::FixedKeyHasher() : aes_(fixedGlobalKey()) {}

@@ -19,6 +19,7 @@
 #ifndef HAAC_CRYPTO_HASH_H
 #define HAAC_CRYPTO_HASH_H
 
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/aes128.h"
@@ -41,11 +42,23 @@ Label hashRekeyed(const Label &x, uint64_t tweak);
  * The fused re-keyed hash (Fig. 2's GE datapath): out[i] = H(x[i], t)
  * for i < n0 and H(x[i], t + 1) for n0 <= i < n0 + n1, with n0 in
  * {1, 2} and n1 in {0, 1, 2}. A garbled AND hashes 2 + 2 blocks, an
- * evaluated one 1 + 1, an OT-extension mask 2 + 0 or 1 + 0; any other
+ * evaluated one 1 + 1, a chain link table 2 + 0 or 1 + 0; any other
  * shape throws std::invalid_argument. @p out may alias @p x.
  */
 void hashRekeyedFused(uint64_t tweak, const Label *x, int n0, int n1,
                       Label *out);
+
+/**
+ * Re-keyed hashes under @p count consecutive tweaks, @p per_tweak
+ * blocks each (1 or 2; anything else throws std::invalid_argument):
+ * out[per_tweak * g + i] = H(x[per_tweak * g + i], tweak + g). The
+ * OT extension's masks are this shape (one tweak per OT). On AES-NI
+ * hosts kAesBlocksInFlight blocks go through the rounds together, their
+ * keys expanded round by round beside them as in hashRekeyedFused().
+ * @p out may alias @p x.
+ */
+void hashRekeyedBatch(uint64_t tweak, const Label *x, size_t count,
+                      int per_tweak, Label *out);
 
 /**
  * One stored tweak-key schedule, for a long chain of hashes under one

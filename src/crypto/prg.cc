@@ -45,6 +45,17 @@ Prg::Prg(uint64_t seed) : aes_(seedToKey(seed)) {}
 Prg::Prg(const Label &key) : aes_(key) {}
 
 void
+Prg::refill()
+{
+    Label ctr[kAesBlocksInFlight];
+    for (size_t i = 0; i < kAesBlocksInFlight; ++i)
+        ctr[i] = Label(counter_ + i, 0x484141435f505247ull); // "HAAC_PRG"
+    counter_ += kAesBlocksInFlight;
+    aes_.encryptBlocks(ctr, blocks_, kAesBlocksInFlight);
+    next_ = 0;
+}
+
+void
 Prg::nextBytes(uint8_t *out, size_t n)
 {
     while (n >= kLabelBytes) {
@@ -57,13 +68,6 @@ Prg::nextBytes(uint8_t *out, size_t n)
         nextLabel().toBytes(block);
         std::memcpy(out, block, n);
     }
-}
-
-Label
-Prg::nextLabel()
-{
-    Label ctr(counter_++, 0x484141435f505247ull); // "HAAC_PRG" tag
-    return aes_.encryptBlock(ctr);
 }
 
 uint64_t

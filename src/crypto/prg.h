@@ -61,7 +61,15 @@ class SeedSequence
     std::atomic<uint64_t> offset_{0};
 };
 
-/** AES-CTR pseudorandom label stream. */
+/**
+ * AES-CTR pseudorandom label stream: block k is AES_key(k || "HAAC_PRG").
+ *
+ * Blocks are encrypted kAesBlocksInFlight at a time through
+ * Aes128::encryptBlocks() and handed out in counter order, so the
+ * stream does not depend on how it is drawn: every draw takes whole
+ * blocks (a partial nextBytes() tail discards the rest of its block),
+ * and nextU64() halves a block, low word first.
+ */
 class Prg
 {
   public:
@@ -78,7 +86,13 @@ class Prg
     void nextBytes(uint8_t *out, size_t n);
 
     /** Next 128 pseudorandom bits. */
-    Label nextLabel();
+    Label
+    nextLabel()
+    {
+        if (next_ == kAesBlocksInFlight)
+            refill();
+        return blocks_[next_++];
+    }
 
     /** Next 64 pseudorandom bits. */
     uint64_t nextU64();
@@ -90,8 +104,13 @@ class Prg
     bool nextBit() { return (nextU64() & 1) != 0; }
 
   private:
+    /** Encrypt the next kAesBlocksInFlight counters into blocks_. */
+    void refill();
+
     Aes128 aes_;
-    uint64_t counter_ = 0;
+    uint64_t counter_ = 0;              ///< next counter to encrypt
+    Label blocks_[kAesBlocksInFlight];  ///< encrypted, drawn from next_
+    size_t next_ = kAesBlocksInFlight;
     Label spare_;
     bool haveSpareHalf_ = false;
 };

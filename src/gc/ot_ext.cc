@@ -1,8 +1,10 @@
 #include "gc/ot_ext.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/bitmatrix.h"
+#include "crypto/ct.h"
 #include "crypto/gf128.h"
 #include "crypto/hash.h"
 
@@ -19,6 +21,12 @@ constexpr uint64_t kOtExtTweak = 0x4f5445585f000000ull; // "OTEX_"
 
 /** Tweak keying the Fiat-Shamir digest of the uplinked columns. */
 constexpr uint64_t kOtKosTweak = 0x4f544b4f53000000ull; // "OTKOS"
+
+/**
+ * OTs masked (sender) or unmasked (receiver) per slice: the scratch is
+ * this fixed size, whatever the batch.
+ */
+constexpr size_t kOtSlice = 256;
 
 size_t
 blocksFor(size_t count)
@@ -42,17 +50,59 @@ foldColumns(const std::vector<uint8_t> &u)
     return acc;
 }
 
-bool
-columnChoiceBit(const Label &s, size_t i)
+/** Bit @p i of the column-choice vector s, as a mask. */
+uint64_t
+columnMask(const Label &s, size_t i)
 {
-    return ((i < 64 ? s.lo >> i : s.hi >> (i - 64)) & 1) != 0;
+    return ctMask((i < 64 ? s.lo >> i : s.hi >> (i - 64)) & 1);
 }
 
+/** Pivot the column-major matrix @p cols into one Label per row. */
 void
-xorBytes(uint8_t *dst, const uint8_t *src, size_t n)
+transposeColumns(const std::vector<uint8_t> &cols, size_t ext_blocks,
+                 std::vector<Label> &rows)
 {
-    for (size_t i = 0; i < n; ++i)
-        dst[i] ^= src[i];
+    const size_t col_bytes = ext_blocks * kLabelBytes;
+    rows.resize(ext_blocks * kOtExtColumns);
+    for (size_t b = 0; b < ext_blocks; ++b)
+        transpose128Block(cols.data() + b * kLabelBytes, col_bytes,
+                          &rows[b * kOtExtColumns]);
+}
+
+/** The KOS15 sums over every extended row. */
+struct KosSums
+{
+    Label x; ///< sum of chi_j over set choice bits (receiver only)
+    Label t; ///< sum of chi_j * rows_j in GF(2^128)
+};
+
+/**
+ * Draw chi_j from the digest of @p u and sum over @p rows, one block of
+ * challenges at a time; the receiver passes its choice column @p r.
+ * chi_j is the j-th chi-PRG block with its 64-bit halves swapped: the
+ * wire convention OtExtKat.UplinkDigestIsPinned holds both parties to.
+ */
+KosSums
+kosSums(const std::vector<uint8_t> &u, const std::vector<Label> &rows,
+        const uint8_t *r)
+{
+    Prg chi(foldColumns(u));
+    KosSums sums;
+    Label c[kOtExtColumns];
+    for (size_t b = 0; b < rows.size(); b += kOtExtColumns) {
+        for (size_t i = 0; i < kOtExtColumns; ++i) {
+            const Label block = chi.nextLabel();
+            c[i] = Label(block.hi, block.lo);
+        }
+        if (r != nullptr)
+            for (size_t i = 0; i < kOtExtColumns; ++i) {
+                const size_t j = b + i;
+                sums.x = ctSelect(ctMask((r[j / 8] >> (j % 8)) & 1),
+                                  sums.x, sums.x ^ c[i]);
+            }
+        sums.t ^= gf128InnerProduct(c, &rows[b], kOtExtColumns);
+    }
+    return sums;
 }
 
 } // namespace
@@ -82,12 +132,7 @@ OtExtSender::setup()
     for (size_t i = 0; i < kOtExtColumns; ++i) {
         const bool bit = rng_.nextBit();
         s_bits[i] = bit;
-        if (bit) {
-            if (i < 64)
-                s_.lo |= uint64_t(1) << i;
-            else
-                s_.hi |= uint64_t(1) << (i - 64);
-        }
+        (i < 64 ? s_.lo : s_.hi) |= uint64_t(bit) << (i % 64);
     }
 
     // IKNP role reversal: receive the base OTs with choice vector s.
@@ -118,36 +163,31 @@ OtExtSender::send(const std::vector<Label> &m0,
     const size_t ext_blocks = blocksFor(m) + 1;
     const size_t col_bytes = ext_blocks * kLabelBytes;
 
-    // Receiver's masked columns, then this side's view q_i.
+    // Receiver's masked columns, then this side's view
+    // q_i = PRG(k_{s_i}) ^ s_i*u_i.
     std::vector<uint8_t> u(kOtExtColumns * col_bytes);
     in_->recvBytes(u.data(), u.size());
     std::vector<uint8_t> q(kOtExtColumns * col_bytes);
     for (size_t i = 0; i < kOtExtColumns; ++i) {
         uint8_t *qi = q.data() + i * col_bytes;
         columnPrg_[i].nextBytes(qi, col_bytes);
-        if (columnChoiceBit(s_, i))
-            xorBytes(qi, u.data() + i * col_bytes, col_bytes);
+        ctXorBytes(columnMask(s_, i), qi, u.data() + i * col_bytes,
+                   col_bytes);
     }
-
-    std::vector<Label> rows(ext_blocks * kOtExtColumns);
-    for (size_t b = 0; b < ext_blocks; ++b)
-        transpose128Block(q.data() + b * kLabelBytes, col_bytes,
-                          &rows[b * kOtExtColumns]);
+    std::vector<Label> rows;
+    transposeColumns(q, ext_blocks, rows);
 
     // KOS15 consistency check: a receiver that used a different r in
     // some column (the selective-failure probe IKNP permits) cannot
     // produce (x, t~) with t~ == q~ ^ x*s except with probability
-    // 2^-128, because q_j = t_j ^ r_j*s only when r was global.
+    // 2^-128, because q_j = t_j ^ r_j*s only when r was global. q~
+    // needs nothing from the proof, so it is summed while the receiver
+    // builds the proof; only the compare waits for it.
+    const Label q_tilde = kosSums(u, rows, nullptr).t;
     uint8_t proof[2 * kLabelBytes];
     in_->recvBytes(proof, sizeof proof);
     const Label x = Label::fromBytes(proof);
     const Label t_tilde = Label::fromBytes(proof + kLabelBytes);
-    Prg chi(foldColumns(u));
-    Label q_tilde;
-    for (size_t j = 0; j < ext_blocks * kOtExtColumns; ++j) {
-        const Label chi_j(chi.nextU64(), chi.nextU64());
-        q_tilde ^= gf128Mul(chi_j, rows[j]);
-    }
     if (t_tilde != (q_tilde ^ gf128Mul(x, s_)))
         throw OtError(
             "OtExtSender: KOS15 consistency check failed — receiver "
@@ -155,11 +195,19 @@ OtExtSender::send(const std::vector<Label> &m0,
 
     // q_j = t_j ^ r_j*s, so H(j, q_j) masks m0 toward choice 0 and
     // H(j, q_j ^ s) masks m1 toward choice 1.
-    for (size_t j = 0; j < m; ++j) {
-        Label h[2] = {rows[j], rows[j] ^ s_};
-        hashRekeyedFused(kOtExtTweak + tweakBase_ + j, h, 2, 0, h);
-        out_->sendLabel(m0[j] ^ h[0]);
-        out_->sendLabel(m1[j] ^ h[1]);
+    const uint64_t tweak = kOtExtTweak + tweakBase_;
+    Label h[2 * kOtSlice];
+    for (size_t j0 = 0; j0 < m; j0 += kOtSlice) {
+        const size_t n = std::min(kOtSlice, m - j0);
+        for (size_t k = 0; k < n; ++k) {
+            h[2 * k] = rows[j0 + k];
+            h[2 * k + 1] = rows[j0 + k] ^ s_;
+        }
+        hashRekeyedBatch(tweak + j0, h, n, 2, h);
+        for (size_t k = 0; k < n; ++k) {
+            out_->sendLabel(m0[j0 + k] ^ h[2 * k]);
+            out_->sendLabel(m1[j0 + k] ^ h[2 * k + 1]);
+        }
     }
     tweakBase_ += ext_blocks * kOtExtColumns;
     out_->flush();
@@ -221,10 +269,8 @@ OtExtReceiver::sendChoices(const std::vector<bool> &choices)
     rng_.nextBytes(r.data(), r.size());
     for (size_t j = 0; j < m; ++j) {
         const uint8_t bit = uint8_t(1) << (j % 8);
-        if (choices[j])
-            r[j / 8] |= bit;
-        else
-            r[j / 8] &= uint8_t(~bit);
+        r[j / 8] = uint8_t((r[j / 8] & ~bit) |
+                           (bit & uint8_t(ctMask(choices[j]))));
     }
 
     std::vector<uint8_t> t(kOtExtColumns * col_bytes);
@@ -234,29 +280,18 @@ OtExtReceiver::sendChoices(const std::vector<bool> &choices)
         uint8_t *ui = u.data() + i * col_bytes;
         columnPrg0_[i].nextBytes(ti, col_bytes);
         columnPrg1_[i].nextBytes(ui, col_bytes);
-        xorBytes(ui, ti, col_bytes);
-        xorBytes(ui, r.data(), col_bytes);
+        for (size_t k = 0; k < col_bytes; ++k)
+            ui[k] ^= ti[k] ^ r[k];
     }
     out_->sendBytes(u.data(), u.size());
-
-    rows_.assign(ext_blocks * kOtExtColumns, Label());
-    for (size_t b = 0; b < ext_blocks; ++b)
-        transpose128Block(t.data() + b * kLabelBytes, col_bytes,
-                          &rows_[b * kOtExtColumns]);
+    transposeColumns(t, ext_blocks, rows_);
 
     // KOS15 proof: x = sum of chi_j over set choice bits, and
     // t~ = sum of chi_j * t_j in GF(2^128), over every extended row.
-    Prg chi(foldColumns(u));
-    Label x, t_tilde;
-    for (size_t j = 0; j < ext_blocks * kOtExtColumns; ++j) {
-        const Label chi_j(chi.nextU64(), chi.nextU64());
-        if ((r[j / 8] >> (j % 8)) & 1)
-            x ^= chi_j;
-        t_tilde ^= gf128Mul(chi_j, rows_[j]);
-    }
+    const KosSums sums = kosSums(u, rows_, r.data());
     uint8_t proof[2 * kLabelBytes];
-    x.toBytes(proof);
-    t_tilde.toBytes(proof + kLabelBytes);
+    sums.x.toBytes(proof);
+    sums.t.toBytes(proof + kLabelBytes);
     out_->sendBytes(proof, sizeof proof);
     out_->flush();
     batchPending_ = true;
@@ -274,14 +309,24 @@ OtExtReceiver::receiveLabels()
         throw std::logic_error(
             "OtExtReceiver: receiveLabels() without sendChoices()");
     }
+    // H(j, t_j) needs no sender bytes: hash the rows in place, while
+    // the sender checks the proof and masks, then only unmask.
     const size_t m = choices_.size();
+    hashRekeyedBatch(kOtExtTweak + tweakBase_, rows_.data(), m, 1,
+                     rows_.data());
     std::vector<Label> labels(m);
-    for (size_t j = 0; j < m; ++j) {
-        const Label y0 = in_->recvLabel();
-        const Label y1 = in_->recvLabel();
-        Label h;
-        hashRekeyedFused(kOtExtTweak + tweakBase_ + j, &rows_[j], 1, 0, &h);
-        labels[j] = (choices_[j] ? y1 : y0) ^ h;
+    constexpr size_t kPairBytes = 2 * kLabelBytes;
+    uint8_t pairs[kOtSlice * kPairBytes];
+    for (size_t j0 = 0; j0 < m; j0 += kOtSlice) {
+        const size_t n = std::min(kOtSlice, m - j0);
+        in_->recvBytes(pairs, n * kPairBytes);
+        for (size_t k = 0; k < n; ++k) {
+            const uint8_t *pair = pairs + k * kPairBytes;
+            labels[j0 + k] =
+                ctSelect(ctMask(choices_[j0 + k]), Label::fromBytes(pair),
+                         Label::fromBytes(pair + kLabelBytes)) ^
+                rows_[j0 + k];
+        }
     }
     tweakBase_ += (blocksFor(m) + 1) * kOtExtColumns;
     batchPending_ = false;

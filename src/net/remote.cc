@@ -224,6 +224,16 @@ lowerNetlist(const Netlist &nl, const std::vector<bool> &garbler_bits,
     return s;
 }
 
+/** The value of Shape field @p name in @p session's fingerprint. */
+uint64_t
+shapeValue(const SessionLayout &session, const std::string &name)
+{
+    for (const FingerprintField &f : session.fingerprint)
+        if (f.kind == FingerprintField::Shape && name == f.name)
+            return f.value;
+    throw std::logic_error("no fingerprint field " + name);
+}
+
 void
 requireGarblerInputs(const Netlist &netlist,
                      const std::vector<bool> &garbler_bits)
@@ -453,13 +463,14 @@ runRemoteGarbler(const Netlist &netlist,
                  Transport &transport, const GarbledInstance &instance,
                  const RemoteOptions &opts)
 {
-    if (instance.inputZero.size() != netlist.numInputs() ||
-        instance.outputZero.size() != netlist.outputs.size() ||
-        instance.tables.size() != netlist.numAndGates())
-        throw std::invalid_argument(
-            "runRemoteGarbler: instance does not match the netlist");
     requireGarblerInputs(netlist, garbler_bits);
     SessionLayout session = lowerNetlist(netlist, garbler_bits, {});
+    // The fingerprint has counted the ANDs, a full pass over the gates.
+    if (instance.inputZero.size() != netlist.numInputs() ||
+        instance.outputZero.size() != netlist.outputs.size() ||
+        instance.tables.size() != shapeValue(session, "ands"))
+        throw std::invalid_argument(
+            "runRemoteGarbler: instance does not match the netlist");
     session.units[0].captured = &instance;
     RemoteResult res = runGarblerSession(session, transport, opts);
     res.pooledGarbling = true;

@@ -10,6 +10,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <stdexcept>
@@ -188,6 +189,101 @@ TEST(Prg, SeedSequenceNeverRepeats)
     EXPECT_NE(x, b.next());
 }
 
+TEST(Aes128, EncryptBlocksMatchesOneBlockAtATime)
+{
+    // Every count up to two full pipeline groups plus one, in place
+    // and out of place.
+    const Aes128 aes(Label(0x61657362, 0x6c6b7321));
+    Prg prg(0x6562);
+    for (size_t n = 0; n <= 2 * kAesBlocksInFlight + 1; ++n) {
+        std::vector<Label> in(n), out(n);
+        for (Label &l : in)
+            l = prg.nextLabel();
+        aes.encryptBlocks(in.data(), out.data(), n);
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_EQ(out[i], aes.encryptBlock(in[i])) << "n=" << n;
+        aes.encryptBlocks(in.data(), in.data(), n);
+        EXPECT_EQ(in, out) << "n=" << n;
+    }
+}
+
+/**
+ * The PRG stream drawn one AES block at a time: block k is
+ * AES_key(k || "HAAC_PRG"), every draw takes whole blocks, and
+ * nextU64() halves a block, low word first.
+ */
+class ReferencePrg
+{
+  public:
+    explicit ReferencePrg(const Label &key) : aes_(key) {}
+
+    Label
+    nextLabel()
+    {
+        return aes_.encryptBlock(Label(counter_++, 0x484141435f505247ull));
+    }
+
+    uint64_t
+    nextU64()
+    {
+        if (haveSpare_) {
+            haveSpare_ = false;
+            return spare_.hi;
+        }
+        spare_ = nextLabel();
+        haveSpare_ = true;
+        return spare_.lo;
+    }
+
+    void
+    nextBytes(uint8_t *out, size_t n)
+    {
+        for (size_t at = 0; at < n; at += kLabelBytes) {
+            uint8_t block[kLabelBytes];
+            nextLabel().toBytes(block);
+            std::memcpy(out + at, block, std::min(kLabelBytes, n - at));
+        }
+    }
+
+  private:
+    Aes128 aes_;
+    uint64_t counter_ = 0;
+    Label spare_;
+    bool haveSpare_ = false;
+};
+
+TEST(Prg, StreamMatchesOneBlockPerCounter)
+{
+    // Mixed draws of every kind, with byte counts on both sides of a
+    // block and of the kAesBlocksInFlight-block buffer, so partial
+    // tails and refills land at every offset in the buffer.
+    const Label key(0x707267, 0x73747265616d);
+    Prg prg(key);
+    ReferencePrg ref(key);
+    for (int round = 0; round < 3; ++round) {
+        for (const size_t n : {0, 1, 15, 16, 17, 127, 128, 129, 1040}) {
+            std::vector<uint8_t> got(n), want(n);
+            prg.nextBytes(got.data(), n);
+            ref.nextBytes(want.data(), n);
+            ASSERT_EQ(got, want) << "nextBytes(" << n << ")";
+            ASSERT_EQ(prg.nextLabel(), ref.nextLabel()) << "after " << n;
+            ASSERT_EQ(prg.nextU64(), ref.nextU64()) << "after " << n;
+            ASSERT_EQ(prg.nextBit(), (ref.nextU64() & 1) != 0)
+                << "after " << n;
+            if (n % 2 == 1)
+                ASSERT_EQ(prg.nextU64(), ref.nextU64()) << "after " << n;
+        }
+    }
+    // The seed constructor keys the same stream.
+    Prg a(0x5eed), b(0x5eed);
+    uint8_t bytes[40];
+    a.nextBytes(bytes, sizeof bytes);
+    EXPECT_EQ(Label::fromBytes(bytes + 16), [&] {
+        b.nextLabel();
+        return b.nextLabel();
+    }());
+}
+
 TEST(HalfGateHash, RekeyedMatchesHasherObject)
 {
     Label x(0xabc, 0xdef);
@@ -265,6 +361,32 @@ TEST(HalfGateHash, FusedRejectsUnsupportedShapes)
     EXPECT_THROW(hashRekeyedFused(0, x, 1, 3, out), std::invalid_argument);
 }
 
+TEST(HalfGateHash, BatchMatchesPerBlockForEveryCount)
+{
+    // One or two blocks under each of count consecutive tweaks, for
+    // counts around a full pipeline group, in place and out of place.
+    Prg prg(0x4261);
+    for (const int per : {1, 2}) {
+        for (size_t count = 0; count <= 17; ++count) {
+            const uint64_t tweak = prg.nextU64();
+            std::vector<Label> x(per * count), out(per * count);
+            for (Label &l : x)
+                l = prg.nextLabel();
+            hashRekeyedBatch(tweak, x.data(), count, per, out.data());
+            for (size_t g = 0; g < count; ++g)
+                for (int i = 0; i < per; ++i)
+                    ASSERT_EQ(out[per * g + i],
+                              hashRekeyed(x[per * g + i], tweak + g))
+                        << per << " per tweak, count " << count;
+            hashRekeyedBatch(tweak, x.data(), count, per, x.data());
+            EXPECT_EQ(x, out) << per << " per tweak, count " << count;
+        }
+    }
+    Label x[3], out[3];
+    EXPECT_THROW(hashRekeyedBatch(0, x, 1, 0, out), std::invalid_argument);
+    EXPECT_THROW(hashRekeyedBatch(0, x, 1, 3, out), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // GF(2^128) (the KOS15 check)
 // ---------------------------------------------------------------------------
@@ -303,6 +425,22 @@ TEST(Gf128, MatchesPortableReference)
     for (int i = 0; i < 100000; ++i) {
         const Label a = prg.nextLabel(), b = prg.nextLabel();
         ASSERT_EQ(gf128Mul(a, b), gf128MulPortable(a, b)) << "pair " << i;
+    }
+}
+
+TEST(Gf128, InnerProductMatchesSumOfProducts)
+{
+    Prg prg(0x6970);
+    for (const size_t n : {0, 1, 2, 127, 128, 300}) {
+        std::vector<Label> a(n), b(n);
+        Label want;
+        for (size_t j = 0; j < n; ++j) {
+            a[j] = prg.nextLabel();
+            b[j] = prg.nextLabel();
+            want ^= gf128MulPortable(a[j], b[j]);
+        }
+        EXPECT_EQ(gf128InnerProduct(a.data(), b.data(), n), want)
+            << "n=" << n;
     }
 }
 
@@ -542,18 +680,23 @@ TEST(BitMatrix, Transpose128BlockMatchesNaive)
     std::vector<uint8_t> cols(128 * kStride);
     rng.nextBytes(cols.data(), cols.size());
 
-    for (size_t b = 0; b < kBlocks; ++b) {
-        Label rows[128];
-        transpose128Block(cols.data() + b * kLabelBytes, kStride, rows);
-        for (int r = 0; r < 128; ++r) {
-            for (int c = 0; c < 128; ++c) {
-                const size_t bit = b * 128 + r;
-                const uint8_t byte =
-                    cols[size_t(c) * kStride + bit / 8];
-                const int expected = (byte >> (bit % 8)) & 1;
-                const uint64_t word = c < 64 ? rows[r].lo : rows[r].hi;
-                ASSERT_EQ((word >> (c % 64)) & 1, uint64_t(expected))
-                    << "b=" << b << " r=" << r << " c=" << c;
+    // The dispatched path (SSE2 on x86 builds), then the portable
+    // butterflies.
+    for (const auto transpose :
+         {&transpose128Block, &transpose128BlockPortable}) {
+        for (size_t b = 0; b < kBlocks; ++b) {
+            Label rows[128];
+            transpose(cols.data() + b * kLabelBytes, kStride, rows);
+            for (int r = 0; r < 128; ++r) {
+                for (int c = 0; c < 128; ++c) {
+                    const size_t bit = b * 128 + r;
+                    const uint8_t byte =
+                        cols[size_t(c) * kStride + bit / 8];
+                    const int expected = (byte >> (bit % 8)) & 1;
+                    const uint64_t word = c < 64 ? rows[r].lo : rows[r].hi;
+                    ASSERT_EQ((word >> (c % 64)) & 1, uint64_t(expected))
+                        << "b=" << b << " r=" << r << " c=" << c;
+                }
             }
         }
     }

@@ -13,7 +13,9 @@
  * harness itself: it must flag the reference double-and-add
  * (ec_reference.h), which branches on every scalar bit, on a
  * low-weight scalar against random ones. The DISABLED_ case runs every
- * target at a larger budget and prints max |t| without failing; run it
+ * target (the group's multiplies, the portable GF(2^128) multiply and
+ * the OT extension's masked column XOR and label select) at a larger
+ * budget and prints max |t| without failing; run it
  * with --gtest_also_run_disabled_tests --gtest_filter='ConstantTime.*'.
  */
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "crypto/ct.h"
 #include "crypto/curve25519.h"
 #include "crypto/gf128.h"
 #include "crypto/prg.h"
@@ -152,6 +155,12 @@ TEST(ConstantTime, DISABLED_ReportMaxT)
 {
     const ec::Point p = somePoint();
     const Label a(0x0123456789abcdefull, 0xfedcba9876543210ull);
+    const Label b(0x0f1e2d3c4b5a6978ull, 0x8796a5b4c3d2e1f0ull);
+    // One IKNP column of an 8,192-OT batch.
+    uint8_t column[1040], other[1040];
+    Prg fill(0xc9);
+    fill.nextBytes(column, sizeof column);
+    fill.nextBytes(other, sizeof other);
     struct Row
     {
         const char *name;
@@ -171,6 +180,20 @@ TEST(ConstantTime, DISABLED_ReportMaxT)
              100000, Label(1, 0),
              [](Prg &rng) { return rng.nextLabel(); },
              [&](const Label &b) { keep(gf128MulPortable(a, b)); }, 16)},
+        {"ctXorBytes (IKNP masked column)",
+         leakT(
+             20000, uint64_t(0),
+             [](Prg &rng) { return rng.nextU64() & 1; },
+             [&](uint64_t bit) {
+                 ctXorBytes(ctMask(bit), column, other, sizeof column);
+                 keep(column);
+             })},
+        {"ctSelect (OT label select)",
+         leakT(
+             100000, uint64_t(0),
+             [](Prg &rng) { return rng.nextU64() & 1; },
+             [&](uint64_t bit) { keep(ctSelect(ctMask(bit), a, b)); },
+             16)},
         {"reference double-and-add (control)", referenceMulT(20000)},
     };
     for (const Row &row : rows)

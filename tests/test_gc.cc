@@ -454,13 +454,15 @@ class TapChannel : public ByteChannel
   public:
     explicit TapChannel(ByteChannel &inner) : inner_(inner) {}
 
-    std::vector<uint8_t> tapped;
+    std::vector<uint8_t> tapped; ///< bytes read
+    std::vector<uint8_t> sent;   ///< bytes written
 
   protected:
     void
     writeBytes(const uint8_t *data, size_t n) override
     {
         inner_.sendBytes(data, n);
+        sent.insert(sent.end(), data, data + n);
     }
 
     void
@@ -516,6 +518,42 @@ TEST(OtExtKat, LoopbackBatchDigestIsPinned)
         fnv.label(labels[i]);
     }
     EXPECT_EQ(fnv.h, 0xefa6e838b20dc854ull);
+}
+
+TEST(OtExtKat, UplinkDigestIsPinned)
+{
+    // The receiver's uplink for one seeded 1,000-choice batch: the
+    // masked columns and the KOS15 proof (x, t~). The batch digest
+    // above never sees the proof, which the sender only checks; this
+    // pins the chi stream and the GF(2^128) sums on the wire.
+    constexpr size_t kCount = 1000;
+    Prg prg(0x4f54555020); // "OTUP "
+    std::vector<Label> m0(kCount), m1(kCount);
+    std::vector<bool> choices(kCount);
+    for (size_t i = 0; i < kCount; ++i) {
+        m0[i] = prg.nextLabel();
+        m1[i] = prg.nextLabel();
+        choices[i] = prg.nextBit();
+    }
+    DuplexChannel d;
+    TapChannel up(d.toGarbler);
+    OtExtSender sender(d.toEvaluator, d.toGarbler, uint64_t(0x53454e44));
+    OtExtReceiver receiver(up, d.toEvaluator, uint64_t(0x52454356));
+    receiver.start();
+    sender.setup();
+    receiver.setup();
+    up.sent.clear();
+    receiver.sendChoices(choices);
+    sender.send(m0, m1);
+    const std::vector<Label> labels = receiver.receiveLabels();
+
+    constexpr size_t kExtBlocks = (kCount + 127) / 128 + 1;
+    ASSERT_EQ(up.sent.size(), 128 * kExtBlocks * kLabelBytes + 32);
+    for (size_t i = 0; i < kCount; ++i)
+        ASSERT_EQ(labels[i], choices[i] ? m1[i] : m0[i]) << "i=" << i;
+    Fnv1a fnv;
+    fnv.bytes(up.sent.data(), up.sent.size());
+    EXPECT_EQ(fnv.h, 0x519bd6170be73cbfull);
 }
 
 TEST(SoftwareGc, TimingProducesThroughput)
