@@ -33,8 +33,10 @@ enum class DramKind
 };
 
 /**
- * A HaacConfig the simulator cannot run (no GEs, no SWW banks, a
- * window too small to slide). The
+ * A HaacConfig the simulator cannot run (no GEs or more than kMaxGes,
+ * no SWW banks or more than kMaxBanksPerGe, a window too small to
+ * slide, no write buffer, a pipeline deeper than the SWW bank table).
+ * The
  * sharded runtime decodes configs off the wire, so this is a refusal,
  * not an assertion.
  */
@@ -43,6 +45,18 @@ class SimConfigError : public std::invalid_argument
   public:
     using std::invalid_argument::invalid_argument;
 };
+
+/**
+ * Most GEs one simulated core can have: StreamSet::geOf records a GE
+ * index per instruction in 8 bits.
+ */
+inline constexpr uint32_t kMaxGes = 256;
+
+/**
+ * Most SWW banks per GE: the engine's bank table holds 64 cycles of
+ * every bank, and numGes * banksPerGe must not wrap.
+ */
+inline constexpr uint32_t kMaxBanksPerGe = 1024;
 
 /** Bytes per GE-cycle (1 GHz GE clock makes GB/s == B/cycle). */
 double dramBytesPerCycle(DramKind kind);

@@ -11,12 +11,68 @@ namespace haac {
 namespace {
 
 constexpr uint32_t kNever32 = ~uint32_t(0);
+constexpr uint64_t kNever64 = ~uint64_t(0);
+
+// What a GE asleep until further notice waits on: the address of a
+// wire whose producer has not issued, or one of these.
+constexpr uint32_t kWaitNothing = kNever32;   ///< not asleep on an event
+constexpr uint32_t kWaitDrain = kNever32 - 1; ///< a write-buffer drain
+
+/** DRAM grants are made in batches of at most this many bytes. */
+constexpr uint32_t kGrantBatchBytes = 64;
+
+// Outbound writes are whole labels and tables, drained in 64-byte
+// chunks, so a non-empty write buffer always holds a label's worth.
+static_assert(kTableBytes % kLabelBytes == 0 &&
+              kGrantBatchBytes % kLabelBytes == 0);
+
+/** A bit per lane or GE, of any width; next() finds set bits in order. */
+class BitSet
+{
+  public:
+    void assign(size_t bits) { words_.assign((bits + 63) / 64, 0); }
+
+    void
+    set(size_t i, bool on)
+    {
+        const uint64_t bit = uint64_t(1) << (i & 63);
+        if (on)
+            words_[i >> 6] |= bit;
+        else
+            words_[i >> 6] &= ~bit;
+    }
+
+    /**
+     * First bit at or after @p from that is set here and not in
+     * @p skip (SIZE_MAX: none).
+     */
+    size_t
+    next(size_t from, const BitSet *skip = nullptr) const
+    {
+        size_t w = from >> 6;
+        if (w >= words_.size())
+            return SIZE_MAX;
+        const auto at = [&](size_t i) {
+            return skip ? words_[i] & ~skip->words_[i] : words_[i];
+        };
+        uint64_t bits = at(w) & (~uint64_t(0) << (from & 63));
+        while (bits == 0) {
+            if (++w == words_.size())
+                return SIZE_MAX;
+            bits = at(w);
+        }
+        return (w << 6) + size_t(__builtin_ctzll(bits));
+    }
+
+  private:
+    std::vector<uint64_t> words_;
+};
 
 /** Inbound streaming queue fed by the shared DRAM (paper §3.1). */
 struct StreamQueue
 {
-    uint32_t entryBytes = 1;   ///< on-chip occupancy per entry
     uint32_t grantBytes = 1;   ///< DRAM bytes per entry (addr + data)
+    uint64_t batchEntries = 1; ///< entries per full grant batch
     uint64_t totalEntries = 0;
     uint64_t granted = 0;
     uint64_t arrived = 0;
@@ -24,12 +80,10 @@ struct StreamQueue
     uint64_t capacityEntries = 1;
     std::deque<std::pair<uint64_t, uint32_t>> inflight;
 
-    uint64_t
-    reserved() const
-    {
-        return (arrived - consumed) + (granted - arrived);
-    }
+    /** Entries granted and not yet consumed (landed or in flight). */
+    uint64_t reserved() const { return granted - consumed; }
 
+    /** Changes only on a grant or a consume (arrivals do not move it). */
     bool
     wantsGrant() const
     {
@@ -45,11 +99,31 @@ struct StreamQueue
         }
     }
 
+    /** Entries the next grant takes (wantsGrant() holds). */
+    uint64_t
+    nextBatch() const
+    {
+        return std::min({batchEntries, totalEntries - granted,
+                         capacityEntries - reserved()});
+    }
+
     bool
     available(uint64_t now, uint64_t need = 1)
     {
         drainArrivals(now);
         return arrived - consumed >= need;
+    }
+
+    /**
+     * First cycle after @p now at which an entry can land, given the
+     * arrivals up to @p now are drained: grants land in FIFO order, and
+     * a grant made from the next DRAM step on lands @p latency later.
+     */
+    uint64_t
+    nextArrival(uint64_t now, uint32_t latency) const
+    {
+        return inflight.empty() ? now + 1 + latency
+                                : inflight.front().first;
     }
 };
 
@@ -109,15 +183,71 @@ class BankTracker
     std::vector<uint32_t> stamp_;
 };
 
+/** Why an issue attempt failed: one SimStats stall counter each. */
+enum class Stall : uint8_t
+{
+    Operand,
+    InstrQueue,
+    TableQueue,
+    OorwQueue,
+    Bank,
+    WriteBuffer,
+};
+constexpr size_t kStallKinds = 6;
+
 struct GeRunState
 {
     const GeStreams *streams = nullptr;
     size_t cursor = 0;
-    size_t oorCursor = 0;
     StreamQueue instrQ;
     StreamQueue tableQ; ///< evaluator inbound only
     StreamQueue oorQ;
+
+    /**
+     * The stall that failed the last issue attempt, and the first cycle
+     * it may not hold on: t + 1 if unknown, kNever64 until the event in
+     * Engine::waitOn_. Until then the GE sleeps (see Engine::run).
+     */
+    Stall stall = Stall::Operand;
+    uint64_t wake = 0;
 };
+
+/**
+ * Refuse a config the engine cannot run: before any table is sized
+ * from it, since the sharded runtime decodes configs off the wire.
+ */
+const HaacConfig &
+checkedConfig(const HaacConfig &cfg)
+{
+    // Queue splits, bank indices and window slides divide by these;
+    // StreamSet::geOf holds a GE index in 8 bits; the bank table is
+    // sized by numGes * banksPerGe.
+    if (cfg.numGes == 0 || cfg.numGes > kMaxGes || cfg.banksPerGe == 0 ||
+        cfg.banksPerGe > kMaxBanksPerGe || cfg.swwWires() < 2)
+        throw SimConfigError(
+            "simulator config needs 1 to " + std::to_string(kMaxGes) +
+            " GEs, 1 to " + std::to_string(kMaxBanksPerGe) +
+            " SWW banks per GE and two SWW wires (numGes " +
+            std::to_string(cfg.numGes) + ", banksPerGe " +
+            std::to_string(cfg.banksPerGe) + ", swwWires " +
+            std::to_string(cfg.swwWires()) + ")");
+    // A writing instruction issues only while the write buffer has
+    // room; with none it never would.
+    if (cfg.writeBufferBytes == 0)
+        throw SimConfigError("simulator config needs a write buffer");
+    // An issue reserves its output's bank at writeback; the bank table
+    // only holds BankTracker::kWindow cycles.
+    const uint64_t span =
+        uint64_t(cfg.fetchDecodeStages) + cfg.swwReadStages +
+        std::max(cfg.computeLatency(true), cfg.computeLatency(false)) +
+        cfg.writebackStages;
+    if (span >= BankTracker::kWindow)
+        throw SimConfigError(
+            "simulator config: issue to writeback takes " +
+            std::to_string(span) + " cycles, the SWW bank table holds " +
+            std::to_string(BankTracker::kWindow));
+    return cfg;
+}
 
 /**
  * The unified engine: one loop covering the compiler's scheduling pass
@@ -130,25 +260,31 @@ class Engine
            const StreamSet *streams, SimMode mode, bool global_dispatch,
            const RemoteWireEnv *remote = nullptr,
            SimProbe *probe = nullptr)
-        : prog_(prog), cfg_(cfg), streams_(streams), mode_(mode),
-          remote_(remote), probe_(probe),
+        : prog_(prog), cfg_(checkedConfig(cfg)), streams_(streams),
+          mode_(mode), remote_(remote), probe_(probe),
           globalDispatch_(global_dispatch),
           modelTraffic_(mode == SimMode::Combined ||
                         mode == SimMode::TrafficOnly),
           modelCompute_(mode == SimMode::Combined ||
                         mode == SimMode::ComputeOnly),
           banks_(cfg.totalBanks()),
-          encBytes_(encodedInstrBytes(cfg.swwWires()))
-    {
-        // Queue splits, bank indices and window slides divide by these.
-        if (cfg.numGes == 0 || cfg.banksPerGe == 0 || cfg.swwWires() < 2)
-            throw SimConfigError(
-                "simulator config needs at least one GE, one SWW bank "
-                "per GE and two SWW wires (numGes " +
-                std::to_string(cfg.numGes) + ", banksPerGe " +
-                std::to_string(cfg.banksPerGe) + ", swwWires " +
-                std::to_string(cfg.swwWires()) + ")");
-    }
+          bankMask_(banks_.banks() & (banks_.banks() - 1)
+                        ? 0
+                        : banks_.banks() - 1),
+          encBytes_(encodedInstrBytes(cfg.swwWires())),
+          perCycle_(dramBytesPerCycle(cfg.dram) * cfg.dramBandwidthScale),
+          // Budget accrual is capped at a few cycles of bandwidth, but
+          // never below one full grant batch: a bandwidth-split shard
+          // core must still be able to save up for a transfer, just
+          // more slowly. Full-rate configs (DDR4 35.2 B/c and up)
+          // already exceed 64 B, so their arbitration is unchanged.
+          budgetCap_(std::max(4 * perCycle_, double(kGrantBatchBytes))),
+          // The smallest grant any lane can make: one instruction, or
+          // one label (an OoRW entry, a table and a drain chunk are at
+          // least that).
+          minGrantBytes_(double(
+              std::min<uint32_t>(encBytes_, uint32_t(kLabelBytes))))
+    {}
 
     SimStats run(StreamSet *record);
 
@@ -170,9 +306,32 @@ class Engine
   private:
     bool tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                   const HaacInstruction &local, uint64_t *hint);
+    void setReady(uint32_t addr, uint64_t cycle);
+    void wake(uint32_t event);
+    void sleep(uint32_t g);
+    void wakeUp(uint32_t g);
     void dramStep(uint64_t t);
+    void grantLane(size_t lane, uint64_t t);
     void setupQueues();
     void finalizeTrafficStats();
+
+    uint32_t
+    bankOf(uint32_t addr) const
+    {
+        return bankMask_ ? addr & bankMask_ : addr % banks_.banks();
+    }
+
+    /** @name DRAM lanes: 3 per GE (instr, table, OoRW) + the drain */
+    /// @{
+    StreamQueue &
+    laneQueue(size_t lane)
+    {
+        GeRunState &ge = ges_[lane / 3];
+        const size_t kind = lane - 3 * (lane / 3);
+        return kind == 0 ? ge.instrQ : kind == 1 ? ge.tableQ : ge.oorQ;
+    }
+    void refreshLane(size_t lane);
+    /// @}
 
     SimProbeView probeView(uint64_t t);
 
@@ -187,12 +346,33 @@ class Engine
     bool modelCompute_;
 
     BankTracker banks_;
+    uint32_t bankMask_; ///< banks - 1 for a power-of-two count, else 0
     uint32_t encBytes_;
     SimStats stats_;
 
     std::vector<GeRunState> ges_;
     std::vector<uint32_t> wireReady_;     ///< forwardable cycle per addr
     std::vector<uint32_t> wireDramReady_; ///< cycle the label is in DRAM
+
+    /** @name Sleeping GEs (replay only; see run()) */
+    /// @{
+    BitSet awake_; ///< GEs with work left that are not asleep
+    /** Sleepers with a known wake cycle: (wake, GE), earliest first. */
+    std::priority_queue<std::pair<uint64_t, uint32_t>,
+                        std::vector<std::pair<uint64_t, uint32_t>>,
+                        std::greater<>>
+        alarms_;
+    uint64_t asleep_[kStallKinds] = {}; ///< sleepers per stall
+    /** Per GE, the event it sleeps on (kWaitNothing: none). */
+    std::vector<uint32_t> waitOn_;
+    uint32_t waiting_ = 0; ///< GEs with an event in waitOn_
+    /** The GE whose issue attempt runs now (kNever32: none). */
+    uint32_t turn_ = kNever32;
+    uint64_t *const stallCounter_[kStallKinds] = {
+        &stats_.stallOperand,   &stats_.stallInstrQueue,
+        &stats_.stallTableQueue, &stats_.stallOorwQueue,
+        &stats_.stallBank,      &stats_.stallWriteBuffer};
+    /// @}
 
     // Input preload stream (addresses [inputBase_, numInputs]).
     uint32_t inputBase_ = 1;
@@ -207,7 +387,14 @@ class Engine
     uint64_t scheduledWriteBytes_ = 0;
     uint64_t drainedWriteBytes_ = 0;
 
+    const double perCycle_;
+    const double budgetCap_;
+    const double minGrantBytes_;
     double dramBudget_ = 0;
+    BitSet live_;              ///< lanes that want a grant
+    BitSet full_;              ///< live lanes wanting a full batch
+    std::vector<double> need_; ///< bytes of each live lane's grant
+    size_t lanes_ = 1;
     size_t rrPtr_ = 0;
     uint64_t lastCompletion_ = 0;
     uint64_t lastDrainCycle_ = 0;
@@ -218,6 +405,7 @@ Engine::setupQueues()
 {
     const uint32_t n = cfg_.numGes;
     ges_.resize(n);
+    waitOn_.assign(n, kWaitNothing);
     stats_.issuedPerGe.assign(n, 0);
 
     // Queue SRAM split per GE: 25% instructions, 50% tables, 25% OoRW.
@@ -225,31 +413,40 @@ Engine::setupQueues()
     const auto entries = [](size_t bytes, uint32_t entry) {
         return std::max<uint64_t>(1, bytes / entry);
     };
+    const auto sizeQueue = [](StreamQueue &q, uint32_t grant_bytes,
+                              uint64_t capacity, uint64_t total) {
+        q.grantBytes = grant_bytes;
+        q.batchEntries =
+            std::max<uint64_t>(1, kGrantBatchBytes / grant_bytes);
+        q.capacityEntries = capacity;
+        q.totalEntries = total;
+    };
 
     for (uint32_t g = 0; g < n; ++g) {
         GeRunState &ge = ges_[g];
         if (streams_)
             ge.streams = &streams_->ge[g];
-        ge.instrQ.entryBytes = encBytes_;
-        ge.instrQ.grantBytes = encBytes_;
-        ge.instrQ.capacityEntries = entries(per_ge / 4, encBytes_);
-        ge.tableQ.entryBytes = uint32_t(kTableBytes);
-        ge.tableQ.grantBytes = uint32_t(kTableBytes);
-        ge.tableQ.capacityEntries =
-            entries(per_ge / 2, uint32_t(kTableBytes));
+        const GeStreams *st = ge.streams;
+        sizeQueue(ge.instrQ, encBytes_, entries(per_ge / 4, encBytes_),
+                  st ? st->instrs.size() : 0);
+        sizeQueue(ge.tableQ, uint32_t(kTableBytes),
+                  entries(per_ge / 2, uint32_t(kTableBytes)),
+                  st && cfg_.role == Role::Evaluator ? st->tableCount : 0);
         // OoRW entries occupy a label on-chip but cost addr+data DRAM
-        // bandwidth (32-bit streamed addresses, §3.1.4).
-        ge.oorQ.entryBytes = uint32_t(kLabelBytes);
-        ge.oorQ.grantBytes = uint32_t(kLabelBytes) + 4;
-        ge.oorQ.capacityEntries =
-            entries(per_ge / 4, uint32_t(kLabelBytes));
-        if (ge.streams) {
-            ge.instrQ.totalEntries = ge.streams->instrs.size();
-            ge.tableQ.totalEntries =
-                cfg_.role == Role::Evaluator ? ge.streams->tableCount : 0;
-            ge.oorQ.totalEntries = ge.streams->oorAddrs.size();
-        }
+        // bandwidth (32-bit streamed addresses, §3.1.4), and are
+        // fetched one at a time.
+        sizeQueue(ge.oorQ, uint32_t(kLabelBytes) + 4,
+                  entries(per_ge / 4, uint32_t(kLabelBytes)),
+                  st ? st->oorAddrs.size() : 0);
+        ge.oorQ.batchEntries = 1;
     }
+
+    lanes_ = size_t(n) * 3 + 1;
+    live_.assign(lanes_);
+    full_.assign(lanes_);
+    need_.assign(lanes_, 0);
+    for (size_t lane = 0; lane < lanes_; ++lane)
+        refreshLane(lane);
 
     // Initial SWW residency: inputs at or above the first window base.
     inputBase_ = std::max<uint32_t>(
@@ -258,7 +455,6 @@ Engine::setupQueues()
         prog_.numInputs >= inputBase_
             ? prog_.numInputs - inputBase_ + 1
             : 0;
-    inputLoad_.entryBytes = uint32_t(kLabelBytes);
     inputLoad_.grantBytes = uint32_t(kLabelBytes);
     inputLoad_.totalEntries = resident;
     inputLoad_.capacityEntries = ~uint64_t(0) >> 1; // SWW-backed
@@ -293,22 +489,75 @@ Engine::setupQueues()
 }
 
 void
+Engine::setReady(uint32_t addr, uint64_t cycle)
+{
+    wireReady_[addr] = uint32_t(cycle);
+    if (waiting_ > 0)
+        wake(addr);
+}
+
+void
+Engine::sleep(uint32_t g)
+{
+    const GeRunState &ge = ges_[g];
+    awake_.set(g, false);
+    ++asleep_[size_t(ge.stall)];
+    if (ge.wake != kNever64)
+        alarms_.emplace(ge.wake, g);
+}
+
+void
+Engine::wakeUp(uint32_t g)
+{
+    awake_.set(g, true);
+    --asleep_[size_t(ges_[g].stall)];
+}
+
+void
+Engine::wake(uint32_t event)
+{
+    // Each woken GE retries at its next turn, exactly as if it had
+    // never slept. A GE whose turn this cycle is still to come was
+    // charged for this cycle already; its retry charges it instead.
+    for (uint32_t g = 0; g < cfg_.numGes; ++g) {
+        if (waitOn_[g] == event) {
+            waitOn_[g] = kWaitNothing;
+            --waiting_;
+            wakeUp(g);
+            if (turn_ != kNever32 && g > turn_)
+                --*stallCounter_[size_t(ges_[g].stall)];
+        }
+    }
+}
+
+void
+Engine::refreshLane(size_t lane)
+{
+    bool live;
+    if (lane == lanes_ - 1) {
+        live = writableBytes_ > 0;
+        need_[lane] = double(
+            std::min<uint64_t>(writableBytes_, kGrantBatchBytes));
+    } else {
+        const StreamQueue &q = laneQueue(lane);
+        live = q.wantsGrant();
+        if (live)
+            need_[lane] = double(q.nextBatch()) * q.grantBytes;
+    }
+    live_.set(lane, live);
+    full_.set(lane, live && need_[lane] >= kGrantBatchBytes);
+}
+
+void
 Engine::dramStep(uint64_t t)
 {
-    const double per_cycle =
-        dramBytesPerCycle(cfg_.dram) * cfg_.dramBandwidthScale;
-    // Budget accrual is capped at a few cycles of bandwidth, but never
-    // below one full grant batch (64 B): a bandwidth-split shard core
-    // must still be able to save up for a transfer, just more slowly.
-    // Full-rate configs (DDR4 35.2 B/c and up) already exceed 64 B, so
-    // their arbitration is unchanged.
-    dramBudget_ = std::min(dramBudget_ + per_cycle,
-                           std::max(4 * per_cycle, 64.0));
+    dramBudget_ = std::min(dramBudget_ + perCycle_, budgetCap_);
 
     while (!writeEvents_.empty() && writeEvents_.top().first <= t) {
         writableBytes_ += writeEvents_.top().second;
         writeEvents_.pop();
     }
+    refreshLane(lanes_ - 1);
 
     // Input preload: arrival order is ascending address.
     if (inputLoad_.wantsGrant()) {
@@ -319,67 +568,73 @@ Engine::dramStep(uint64_t t)
         if (dramBudget_ >= bytes) {
             dramBudget_ -= bytes;
             const uint64_t arrival = t + cfg_.dramLatency;
-            for (uint64_t i = 0; i < batch; ++i) {
-                const uint32_t w =
-                    inputBase_ + uint32_t(inputLoad_.granted + i);
-                wireReady_[w] = uint32_t(arrival);
-            }
+            for (uint64_t i = 0; i < batch; ++i)
+                setReady(inputBase_ + uint32_t(inputLoad_.granted + i),
+                         arrival);
             inputLoad_.granted += batch;
             inputLoad_.arrived += batch; // tracked via wireReady_
         }
     }
 
-    // Round-robin over GE streams (instr, table, OoRW) plus writes.
-    const size_t lanes = ges_.size() * 3 + 1;
-    for (size_t step = 0; step < lanes; ++step) {
-        const size_t lane = (rrPtr_ + step) % lanes;
-        if (lane == lanes - 1) {
-            // Outbound drain.
-            const uint64_t chunk = std::min<uint64_t>(writableBytes_, 64);
-            if (chunk > 0 && dramBudget_ >= double(chunk)) {
-                dramBudget_ -= double(chunk);
-                writableBytes_ -= chunk;
-                drainedWriteBytes_ += chunk;
-                lastDrainCycle_ = t;
-            }
-            continue;
+    // Round-robin over the lanes that want a grant, starting at rrPtr_
+    // and wrapping once. A lane that does not want one, or whose grant
+    // exceeds the budget, is passed over, so skipping it — and every
+    // full-batch lane while the budget is below a full batch, and all
+    // lanes once it is below the smallest grant — leaves the
+    // arbitration unchanged.
+    const auto arbitrate = [&](size_t from, size_t to) {
+        for (size_t lane = from;; ++lane) {
+            lane = live_.next(lane, dramBudget_ < kGrantBatchBytes
+                                        ? &full_
+                                        : nullptr);
+            if (lane >= to)
+                return true;
+            if (dramBudget_ < minGrantBytes_)
+                return false;
+            if (dramBudget_ >= need_[lane])
+                grantLane(lane, t);
         }
-        GeRunState &ge = ges_[lane / 3];
-        const size_t kind = lane % 3;
-        StreamQueue &q = kind == 0 ? ge.instrQ
-                        : kind == 1 ? ge.tableQ
-                                    : ge.oorQ;
-        if (!q.wantsGrant())
-            continue;
-        if (kind == 2) {
-            // OoRW: one entry at a time; the label must be valid in
-            // DRAM before the fetch succeeds (§3.1.4 valid bits).
-            const uint32_t addr =
-                ge.streams->oorAddrs[size_t(q.granted)];
-            const uint32_t ready = wireDramReady_[addr];
-            if (ready == kNever32)
-                continue; // producer not drained yet; retry
-            if (dramBudget_ < double(q.grantBytes))
-                continue;
-            dramBudget_ -= double(q.grantBytes);
-            const uint64_t arrival =
-                std::max<uint64_t>(t, ready) + cfg_.dramLatency;
-            q.inflight.emplace_back(arrival, 1);
-            ++q.granted;
-        } else {
-            uint64_t batch = std::max<uint64_t>(1, 64 / q.grantBytes);
-            batch = std::min(batch, q.totalEntries - q.granted);
-            batch = std::min(batch, q.capacityEntries - q.reserved());
-            const double bytes = double(batch) * q.grantBytes;
-            if (batch == 0 || dramBudget_ < bytes)
-                continue;
-            dramBudget_ -= bytes;
-            q.inflight.emplace_back(t + cfg_.dramLatency,
-                                    uint32_t(batch));
-            q.granted += batch;
-        }
+    };
+    if (arbitrate(rrPtr_, lanes_))
+        arbitrate(0, rrPtr_);
+    if (++rrPtr_ == lanes_)
+        rrPtr_ = 0;
+}
+
+void
+Engine::grantLane(size_t lane, uint64_t t)
+{
+    // The lane is live and need_[lane] fits the budget.
+    if (lane == lanes_ - 1) {
+        // Outbound drain.
+        const uint64_t chunk =
+            std::min<uint64_t>(writableBytes_, kGrantBatchBytes);
+        dramBudget_ -= double(chunk);
+        writableBytes_ -= chunk;
+        drainedWriteBytes_ += chunk;
+        lastDrainCycle_ = t;
+        refreshLane(lane);
+        if (waiting_ > 0)
+            wake(kWaitDrain);
+        return;
     }
-    rrPtr_ = (rrPtr_ + 1) % lanes;
+    const GeRunState &ge = ges_[lane / 3];
+    StreamQueue &q = laneQueue(lane);
+    uint64_t arrival = t + cfg_.dramLatency;
+    if (&q == &ge.oorQ) {
+        // OoRW: one entry at a time; the label must be valid in
+        // DRAM before the fetch succeeds (§3.1.4 valid bits).
+        const uint32_t addr = ge.streams->oorAddrs[size_t(q.granted)];
+        const uint32_t ready = wireDramReady_[addr];
+        if (ready == kNever32)
+            return; // producer not drained yet; retry
+        arrival = std::max<uint64_t>(t, ready) + cfg_.dramLatency;
+    }
+    const uint64_t batch = q.nextBatch();
+    dramBudget_ -= double(batch) * q.grantBytes;
+    q.inflight.emplace_back(arrival, uint32_t(batch));
+    q.granted += batch;
+    refreshLane(lane);
 }
 
 bool
@@ -391,40 +646,57 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
     const bool is_and = ins.op == HaacOp::And;
     const bool is_not = ins.op == HaacOp::Not;
 
-    // Stream availability.
+    // A stall charges its counter now and, while it provably holds,
+    // on every cycle before @p wake (t + 1: no such promise) ...
+    const auto stall = [&](Stall why, uint64_t wake) {
+        ++*stallCounter_[size_t(why)];
+        ge.stall = why;
+        ge.wake = wake;
+        return false;
+    };
+    // ... or until @p event happens (GEs sleep only in replay).
+    const auto stallUntil = [&](Stall why, uint32_t event) {
+        if (globalDispatch_)
+            return stall(why, t + 1);
+        waitOn_[g] = event;
+        ++waiting_;
+        return stall(why, kNever64);
+    };
+
+    // Stream availability. An empty queue stays empty until its next
+    // arrival, and a queue that has an entry keeps it until this GE
+    // issues, so these stalls hold until the queue's next arrival.
     if (modelTraffic_) {
-        if (!ge.instrQ.available(t)) {
-            ++stats_.stallInstrQueue;
-            return false;
-        }
+        if (!ge.instrQ.available(t))
+            return stall(Stall::InstrQueue,
+                         ge.instrQ.nextArrival(t, cfg_.dramLatency));
         if (is_and && cfg_.role == Role::Evaluator &&
-            !ge.tableQ.available(t)) {
-            ++stats_.stallTableQueue;
-            return false;
-        }
+            !ge.tableQ.available(t))
+            return stall(Stall::TableQueue,
+                         ge.tableQ.nextArrival(t, cfg_.dramLatency));
     }
     const uint32_t oor_need = (local.a == kOorAddr ? 1 : 0) +
                               (!is_not && local.b == kOorAddr ? 1 : 0);
     if (modelTraffic_ && oor_need > 0 &&
-        !ge.oorQ.available(t, oor_need)) {
-        ++stats_.stallOorwQueue;
-        return false;
-    }
+        !ge.oorQ.available(t, oor_need))
+        return stall(Stall::OorwQueue,
+                     ge.oorQ.nextArrival(t, cfg_.dramLatency));
     // Outbound backpressure: don't issue write-producing work into a
-    // full write buffer.
-    const bool writes_out =
-        ins.live || (is_and && cfg_.role == Role::Garbler);
-    if (modelTraffic_ && writes_out &&
+    // full write buffer. Only an issue that writes fills it, and none
+    // can while it is full, so it stays full until the next drain.
+    const bool writes_gated =
+        modelTraffic_ &&
+        (ins.live || (is_and && cfg_.role == Role::Garbler));
+    if (writes_gated &&
         scheduledWriteBytes_ - drainedWriteBytes_ >=
-            cfg_.writeBufferBytes) {
-        ++stats_.stallWriteBuffer;
-        return false;
-    }
+            cfg_.writeBufferBytes)
+        return stallUntil(Stall::WriteBuffer, kWaitDrain);
 
     // Operand readiness (forwarding network / SWW valid bits).
     if (modelCompute_) {
         const uint64_t deadline = t + cfg_.frontendDepth();
         uint64_t latest = 0;
+        uint32_t pending = kNever32; // an operand not yet produced
         auto checkOperand = [&](uint32_t addr, bool is_oor) {
             // OoR operands are gated by their queue arrival (which in
             // turn waits for the producer's DRAM write). With ideal
@@ -433,31 +705,37 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
             if (is_oor && modelTraffic_)
                 return;
             latest = std::max<uint64_t>(latest, wireReady_[addr]);
+            if (wireReady_[addr] == kNever32)
+                pending = addr;
         };
         checkOperand(ins.a, local.a == kOorAddr);
         if (!is_not)
             checkOperand(ins.b, local.b == kOorAddr);
         if (latest > deadline) {
-            ++stats_.stallOperand;
             if (hint && latest != kNever32)
                 *hint = std::min<uint64_t>(
                     *hint, latest - cfg_.frontendDepth());
-            return false;
+            // Ready cycles are set once, and the queue checks above
+            // keep passing, so unless the write-buffer gate can fire
+            // first the stall holds until the operands are ready — or,
+            // for an operand not yet produced, until its producer
+            // issues (setReady wakes the GE).
+            if (writes_gated)
+                return stall(Stall::Operand, t + 1);
+            if (pending != kNever32)
+                return stallUntil(Stall::Operand, pending);
+            return stall(Stall::Operand, latest - cfg_.frontendDepth());
         }
 
         // SWW bank ports for the in-window operand reads.
         auto readBank = [&](uint32_t addr) {
-            return banks_.tryAccess(t, addr % cfg_.totalBanks());
+            return banks_.tryAccess(t, bankOf(addr));
         };
-        if (local.a != kOorAddr && !readBank(ins.a)) {
-            ++stats_.stallBank;
-            return false;
-        }
+        if (local.a != kOorAddr && !readBank(ins.a))
+            return stall(Stall::Bank, t + 1);
         if (!is_not && local.b != kOorAddr && ins.b != ins.a &&
-            !readBank(ins.b)) {
-            ++stats_.stallBank;
-            return false;
-        }
+            !readBank(ins.b))
+            return stall(Stall::Bank, t + 1);
     }
 
     // ---- Issue. ----
@@ -469,16 +747,22 @@ Engine::tryIssue(uint64_t t, uint32_t g, GeRunState &ge, uint32_t idx,
                                              : 0);
 
     if (modelTraffic_) {
+        // A consume can only make a full queue want a grant again.
+        const size_t lane = size_t(g) * 3;
         ++ge.instrQ.consumed;
-        if (is_and && cfg_.role == Role::Evaluator)
+        refreshLane(lane);
+        if (is_and && cfg_.role == Role::Evaluator) {
             ++ge.tableQ.consumed;
-        ge.oorQ.consumed += oor_need;
-        ge.oorCursor += oor_need;
+            refreshLane(lane + 1);
+        }
+        if (oor_need > 0) {
+            ge.oorQ.consumed += oor_need;
+            refreshLane(lane + 2);
+        }
     }
 
-    wireReady_[out] =
-        uint32_t(cfg_.forwarding ? complete : written);
-    banks_.forceAccess(written, out % cfg_.totalBanks());
+    setReady(out, cfg_.forwarding ? complete : written);
+    banks_.forceAccess(written, bankOf(out));
     ++stats_.swwWrites;
     stats_.swwReads += (is_not ? 1 : 2) - oor_need;
     if (modelCompute_ && cfg_.forwarding) {
@@ -624,10 +908,10 @@ Engine::run(StreamSet *record)
         uint32_t head = 0;
         uint32_t rr = 0;
         while (head < total) {
-            uint64_t hint = ~uint64_t(0);
+            uint64_t hint = kNever64;
             bool any = false;
+            uint32_t g = rr;
             for (uint32_t i = 0; i < cfg_.numGes && head < total; ++i) {
-                const uint32_t g = (rr + i) % cfg_.numGes;
                 HaacInstruction local = prog_.instrs[head];
                 if (!tryIssue(t, g, ges_[g], head, local, &hint))
                     break; // strict in-order dispatch
@@ -638,9 +922,12 @@ Engine::run(StreamSet *record)
                 }
                 ++head;
                 any = true;
+                if (++g == cfg_.numGes)
+                    g = 0;
             }
-            rr = (rr + 1) % cfg_.numGes;
-            if (any || hint == ~uint64_t(0)) {
+            if (++rr == cfg_.numGes)
+                rr = 0;
+            if (any || hint == kNever64) {
                 ++t;
             } else {
                 t = std::max(t + 1, hint);
@@ -649,36 +936,57 @@ Engine::run(StreamSet *record)
         issued_total = total;
     } else {
         assert(streams_ && "replay mode requires streams");
+        // Only awake GEs are visited. A sleeping GE's stall is known to
+        // hold until its wake cycle or event, so each visited cycle
+        // charges every sleeper's stall counter in bulk, exactly as its
+        // retries would have.
+        awake_.assign(cfg_.numGes);
+        for (uint32_t g = 0; g < cfg_.numGes; ++g)
+            awake_.set(g, !ges_[g].streams->instrs.empty());
         while (issued_total < total ||
                (modelTraffic_ &&
                 (writableBytes_ > 0 || !writeEvents_.empty()))) {
             if (modelTraffic_)
                 dramStep(t);
-            uint64_t hint = ~uint64_t(0);
+            while (!alarms_.empty() && alarms_.top().first <= t) {
+                wakeUp(alarms_.top().second);
+                alarms_.pop();
+            }
+            for (size_t k = 0; k < kStallKinds; ++k)
+                *stallCounter_[k] += asleep_[k];
+            // An operand sleeper's wake cycle is also the hint its
+            // retry would give (queue sleepers only sleep with traffic
+            // modelled, where time does not skip).
+            uint64_t hint = alarms_.empty() ? kNever64 : alarms_.top().first;
             bool any = false;
-            for (uint32_t g = 0; g < cfg_.numGes; ++g) {
+            for (size_t g = awake_.next(0); g < cfg_.numGes;
+                 g = awake_.next(g + 1)) {
                 GeRunState &ge = ges_[g];
-                if (!ge.streams || ge.cursor >= ge.streams->instrs.size())
-                    continue;
                 const uint32_t idx = ge.streams->instrIdx[ge.cursor];
                 const HaacInstruction &local =
                     ge.streams->instrs[ge.cursor];
-                if (tryIssue(t, g, ge, idx, local, &hint)) {
-                    ++ge.cursor;
+                turn_ = uint32_t(g);
+                if (tryIssue(t, uint32_t(g), ge, idx, local, &hint)) {
                     ++issued_total;
                     any = true;
+                    if (++ge.cursor == ge.streams->instrs.size())
+                        awake_.set(g, false);
                     if (probe_) {
-                        probe_->onIssue(t, g, idx, prog_.instrs[idx],
+                        probe_->onIssue(t, uint32_t(g), idx,
+                                        prog_.instrs[idx],
                                         prog_.outputAddrOf(idx));
                     }
+                } else if (ge.wake > t + 1) {
+                    sleep(uint32_t(g));
                 }
             }
+            turn_ = kNever32;
             if (probe_) {
                 const SimProbeView view = probeView(t);
                 if (!probe_->onCycle(view))
                     break; // aborted: return stats so far
             }
-            if (!modelTraffic_ && !any && hint != ~uint64_t(0)) {
+            if (!modelTraffic_ && !any && hint != kNever64) {
                 t = std::max(t + 1, hint);
             } else {
                 ++t;

@@ -13,6 +13,16 @@
  * The same machinery, run compute-only with a global in-order
  * dispatcher, is the compiler's GE-mapping pass (recordSchedule);
  * hardware then replays that mapping, as in the paper.
+ *
+ * The engine steps every simulated cycle but only does work that can
+ * change state. A stalled GE sleeps while its stall provably holds: an
+ * operand whose producer has issued (ready cycles are set once), an
+ * empty queue until its next arrival, a full write buffer until the
+ * next drain, an unissued producer until it issues. Every visited
+ * cycle charges each sleeper's stall counter, so the counters and each
+ * SimProbe view equal those of retrying every GE every cycle. DRAM
+ * arbitration visits only the lanes that want a grant, in the same
+ * round-robin order.
  */
 #ifndef HAAC_CORE_SIM_ENGINE_H
 #define HAAC_CORE_SIM_ENGINE_H

@@ -6,11 +6,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "circuit/builder.h"
 #include "circuit/stdlib.h"
 #include "core/compiler/passes.h"
 #include "core/sim/engine.h"
 #include "crypto/prg.h"
+#include "shard/partition.h"
 
 namespace haac {
 namespace {
@@ -376,6 +379,330 @@ TEST(Engine, DegenerateConfigIsRefusedNotDivided)
     cfg = testConfig();
     cfg.swwBytes = kLabelBytes; // one wire: no half-window to slide by
     EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    // StreamSet::geOf holds a GE index in 8 bits.
+    EXPECT_NO_THROW(simulate(prog, testConfig(kMaxGes)));
+    EXPECT_THROW(simulate(prog, testConfig(kMaxGes + 1)), SimConfigError);
+    EXPECT_THROW(recordSchedule(prog, testConfig(300)), SimConfigError);
+    // Issue to writeback must fit the 64-cycle SWW bank table.
+    cfg = testConfig();
+    cfg.role = Role::Garbler;
+    cfg.garblerHalfGateStages = 100;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg.garblerHalfGateStages = 64 - cfg.frontendDepth() -
+                                cfg.writebackStages - 1;
+    EXPECT_NO_THROW(simulate(prog, cfg));
+    cfg.garblerHalfGateStages += 1;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg = testConfig();
+    cfg.fetchDecodeStages = ~uint32_t(0); // a sum that would wrap
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    // numGes * banksPerGe sizes the bank table: 2 * 2^31 would wrap to
+    // no banks at all.
+    cfg = testConfig(2);
+    cfg.banksPerGe = 1u << 31;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg = testConfig(kMaxGes);
+    cfg.banksPerGe = 1u << 24;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg.banksPerGe = kMaxBanksPerGe + 1;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+    cfg = testConfig(2);
+    cfg.banksPerGe = kMaxBanksPerGe;
+    EXPECT_NO_THROW(simulate(prog, cfg));
+    // A writing instruction never finds room in no write buffer.
+    cfg = testConfig();
+    cfg.writeBufferBytes = 0;
+    EXPECT_THROW(simulate(prog, cfg), SimConfigError);
+}
+
+// ---- Pinned known-answer digests ------------------------------------
+//
+// The engine skips work that cannot change state (sleeping GEs, live
+// DRAM lanes). These digests pin every SimStats field, the recorded
+// schedule and the probe's per-cycle view to the values of retrying
+// every GE and polling every DRAM lane on every cycle.
+
+/** 64-bit FNV-1a over little-endian words. */
+struct Digest
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+
+    template <typename Seq>
+    void
+    addAll(const Seq &seq)
+    {
+        add(seq.size());
+        for (const auto &v : seq)
+            add(uint64_t(v));
+    }
+};
+
+/** Fold the 22 scalar counters (declaration order) and issuedPerGe. */
+void
+foldStats(Digest &d, const SimStats &s)
+{
+    for (uint64_t v :
+         {s.cycles, s.instructions, s.andOps, s.xorOps, s.notOps,
+          s.instrBytes, s.tableBytes, s.oorAddrBytes, s.oorDataBytes,
+          s.liveWriteBytes, s.inputLoadBytes, s.liveWires, s.oorReads,
+          s.stallOperand, s.stallInstrQueue, s.stallTableQueue,
+          s.stallOorwQueue, s.stallBank, s.stallWriteBuffer, s.swwReads,
+          s.swwWrites, s.forwardHits})
+        d.add(v);
+    d.addAll(s.issuedPerGe);
+}
+
+void
+foldStreams(Digest &d, const StreamSet &set)
+{
+    d.addAll(set.issueOrder);
+    d.addAll(set.geOf);
+    d.add(set.ge.size());
+    for (const GeStreams &ge : set.ge)
+        d.addAll(ge.oorAddrs);
+}
+
+/** Random AND/XOR/NOT DAG reading mostly recent wires, some far back. */
+HaacProgram
+randomMix(uint32_t gates, uint64_t seed)
+{
+    Prg prg(seed);
+    CircuitBuilder cb;
+    Bits pool = cb.garblerInputs(32);
+    for (Wire w : cb.evaluatorInputs(32))
+        pool.push_back(w);
+    auto pick = [&]() {
+        const size_t span = prg.nextRange(8) == 0 ? pool.size()
+                                                  : std::min<size_t>(
+                                                        pool.size(), 48);
+        return pool[pool.size() - 1 - prg.nextRange(span)];
+    };
+    for (uint32_t i = 0; i < gates; ++i) {
+        const uint64_t op = prg.nextRange(20);
+        Wire w;
+        if (op < 8)
+            w = cb.andGate(pick(), pick());
+        else if (op < 17)
+            w = cb.xorGate(pick(), pick());
+        else
+            w = cb.notGate(pick());
+        pool.push_back(w);
+        if (i % 97 == 0)
+            cb.addOutput(w);
+    }
+    cb.addOutput(pool.back());
+    return assemble(cb.build());
+}
+
+/** Dependent ripple-carry rounds: long chains, little ILP. */
+HaacProgram
+adderRounds(uint32_t width, uint32_t rounds)
+{
+    CircuitBuilder cb;
+    Bits a = cb.garblerInputs(width);
+    Bits b = cb.evaluatorInputs(width);
+    Bits acc = a;
+    for (uint32_t r = 0; r < rounds; ++r)
+        acc = addBits(cb, acc, b);
+    cb.addOutputs(acc);
+    return assemble(cb.build());
+}
+
+/** Compile @p base for @p cfg's window (reorder + ESW). */
+HaacProgram
+compiledFor(const HaacProgram &base, const HaacConfig &cfg)
+{
+    CompileOptions opts;
+    opts.swwWires = cfg.swwWires();
+    return compileProgram(base, opts);
+}
+
+struct KatCase
+{
+    const char *name;
+    HaacConfig cfg;
+};
+
+std::vector<KatCase>
+katCases()
+{
+    std::vector<KatCase> out;
+    out.push_back({"evaluator", testConfig(4)});
+    HaacConfig gb = testConfig(4);
+    gb.role = Role::Garbler;
+    out.push_back({"garbler", gb});
+    HaacConfig nofwd = testConfig(4);
+    nofwd.forwarding = false;
+    out.push_back({"no_forwarding", nofwd});
+    HaacConfig hbm = testConfig(8);
+    hbm.dram = DramKind::Hbm2;
+    hbm.banksPerGe = 1;
+    hbm.dramLatency = 4; // shorter than the 5-stage frontend
+    out.push_back({"hbm2_one_bank", hbm});
+    HaacConfig small_sww = testConfig(4);
+    small_sww.swwBytes = size_t(256) * kLabelBytes;
+    out.push_back({"small_sww", small_sww});
+    HaacConfig tight = testConfig(8);
+    tight.role = Role::Garbler;
+    tight.queueSramBytes = 2 * 1024;
+    tight.writeBufferBytes = 256;
+    tight.swwBytes = size_t(512) * kLabelBytes;
+    out.push_back({"tight_queues", tight});
+    // 24 GEs: 73 DRAM lanes, more than one 64-bit word of lane bits.
+    out.push_back({"ges24", testConfig(24)});
+    return out;
+}
+
+TEST(SimKat, StatsArePinned)
+{
+    const HaacProgram bases[] = {randomMix(4000, 11),
+                                 adderRounds(16, 12)};
+    Digest d;
+    SimStats seen; // per-counter maximum over every case
+    auto note = [&](const SimStats &s) {
+        foldStats(d, s);
+        seen.stallOperand = std::max(seen.stallOperand, s.stallOperand);
+        seen.stallInstrQueue =
+            std::max(seen.stallInstrQueue, s.stallInstrQueue);
+        seen.stallTableQueue =
+            std::max(seen.stallTableQueue, s.stallTableQueue);
+        seen.stallOorwQueue =
+            std::max(seen.stallOorwQueue, s.stallOorwQueue);
+        seen.stallBank = std::max(seen.stallBank, s.stallBank);
+        seen.stallWriteBuffer =
+            std::max(seen.stallWriteBuffer, s.stallWriteBuffer);
+    };
+    for (const KatCase &kc : katCases()) {
+        for (const HaacProgram &base : bases) {
+            const HaacProgram prog = compiledFor(base, kc.cfg);
+            const StreamSet set = recordSchedule(prog, kc.cfg);
+            foldStreams(d, set);
+            for (SimMode mode : {SimMode::Combined, SimMode::ComputeOnly,
+                                 SimMode::TrafficOnly})
+                note(runSimulation(prog, kc.cfg, set, mode));
+        }
+    }
+
+    // One shard of a two-way split, with remote imports and exports.
+    {
+        const HaacConfig cfg = testConfig(4);
+        HaacProgram prog = compiledFor(bases[0], cfg);
+        const StreamSet set = recordSchedule(prog, cfg);
+        const shard::ShardPlan plan =
+            shard::partitionStreams(prog, set, 2);
+        shard::markCrossShardLive(prog, plan);
+        const shard::ShardPart &part = plan.parts.at(0);
+        ASSERT_FALSE(part.imports.empty());
+        ASSERT_FALSE(part.exports.empty());
+        RemoteWireEnv env;
+        env.addrs = part.imports;
+        for (size_t i = 0; i < env.addrs.size(); ++i)
+            env.readyCycles.push_back(40 + 13 * i);
+        HaacConfig shard_cfg = cfg;
+        shard_cfg.numGes = uint32_t(part.streams.ge.size());
+        const ShardSimResult r =
+            runShardSimulation(prog, shard_cfg, part.streams,
+                               SimMode::Combined, env, part.exports);
+        note(r.stats);
+        d.addAll(r.exportReady);
+    }
+
+    // Every stall counter is exercised somewhere.
+    EXPECT_GT(seen.stallOperand, 0u);
+    EXPECT_GT(seen.stallInstrQueue, 0u);
+    EXPECT_GT(seen.stallTableQueue, 0u);
+    EXPECT_GT(seen.stallOorwQueue, 0u);
+    EXPECT_GT(seen.stallBank, 0u);
+    EXPECT_GT(seen.stallWriteBuffer, 0u);
+    EXPECT_EQ(d.h, 0x751d73e3d84149b8ull) << std::hex << d.h;
+}
+
+/** Hashes every onIssue and every onCycle view the engine exposes. */
+class RecordingProbe : public SimProbe
+{
+  public:
+    explicit RecordingProbe(uint64_t stop_at = ~uint64_t(0))
+        : stopAt_(stop_at)
+    {}
+
+    void
+    onIssue(uint64_t cycle, uint32_t ge, uint32_t idx,
+            const HaacInstruction &ins, uint32_t out) override
+    {
+        for (uint64_t v : {cycle, uint64_t(ge), uint64_t(idx),
+                           uint64_t(ins.op), uint64_t(out)})
+            d.add(v);
+        ++issues;
+    }
+
+    bool
+    onCycle(const SimProbeView &view) override
+    {
+        d.add(view.cycle);
+        for (const GeQueueView &g : view.ges) {
+            for (uint64_t v :
+                 {g.instrReady, g.instrCapacity, g.instrConsumed,
+                  g.instrTotal, g.tableReady, g.tableCapacity,
+                  g.tableConsumed, g.tableTotal, g.oorReady,
+                  g.oorCapacity, g.oorConsumed, g.oorTotal, g.streamPos,
+                  g.streamLen, uint64_t(g.nextInstr)})
+                d.add(v);
+        }
+        d.addAll(view.bankAccesses);
+        d.add(view.pendingWriteBytes);
+        foldStats(d, *view.stats);
+        ++cycles;
+        return view.cycle < stopAt_;
+    }
+
+    Digest d;
+    uint64_t issues = 0;
+    uint64_t cycles = 0;
+
+  private:
+    uint64_t stopAt_;
+};
+
+TEST(SimKat, ProbeViewsArePinned)
+{
+    const HaacProgram base = randomMix(600, 5);
+    Digest d;
+    std::vector<KatCase> cases = katCases();
+    cases.resize(3); // evaluator, garbler, no forwarding
+    HaacConfig small_sww = testConfig(4);
+    small_sww.swwBytes = size_t(256) * kLabelBytes;
+    cases.push_back({"small_sww", small_sww});
+    for (const KatCase &kc : cases) {
+        const HaacProgram prog = compiledFor(base, kc.cfg);
+        const StreamSet set = recordSchedule(prog, kc.cfg);
+        for (SimMode mode : {SimMode::Combined, SimMode::ComputeOnly,
+                             SimMode::TrafficOnly}) {
+            RecordingProbe probe;
+            const SimStats s =
+                runSimulation(prog, kc.cfg, set, mode, &probe);
+            EXPECT_EQ(probe.issues, s.instructions) << kc.name;
+            foldStats(d, s);
+            d.add(probe.d.h);
+            d.add(probe.cycles);
+        }
+        // A probe that stops the run early gets the stats so far.
+        RecordingProbe stopper(300);
+        const SimStats partial =
+            runSimulation(prog, kc.cfg, set, SimMode::Combined, &stopper);
+        EXPECT_LT(partial.instructions, prog.instrs.size()) << kc.name;
+        foldStats(d, partial);
+        d.add(stopper.d.h);
+    }
+    EXPECT_EQ(d.h, 0x6352bb17c0e7c2e5ull) << std::hex << d.h;
 }
 
 } // namespace

@@ -12,6 +12,7 @@
  * to completion, so CI can smoke the whole surface; plain stdin EOF
  * behaves the same way.
  */
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -33,6 +34,8 @@
 #include "core/sim/engine.h"
 #include "core/sim/functional.h"
 #include "workloads/vip.h"
+
+#include "cli_args.h"
 
 namespace {
 
@@ -57,9 +60,9 @@ usage(std::ostream &os)
           "  --no-esw             mark every wire live\n"
           "\n"
           "hardware configuration:\n"
-          "  --ges N              number of garbling engines\n"
+          "  --ges N              number of garbling engines (1-256)\n"
           "  --sww-wires N        SWW capacity in wires\n"
-          "  --banks N            SWW banks per GE\n"
+          "  --banks N            SWW banks per GE (1-1024)\n"
           "  --role R             garbler | evaluator\n"
           "  --mode M             combined | compute | traffic\n"
           "\n"
@@ -117,11 +120,9 @@ parseWire(const std::string &tok, uint32_t &addr)
         digits = digits.substr(1);
     if (digits.empty())
         return false;
-    for (char c : digits)
-        if (c < '0' || c > '9')
-            return false;
-    addr = uint32_t(std::stoul(digits));
-    return true;
+    const char *end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, addr);
+    return ec == std::errc() && stop == end;
 }
 
 /** The interactive loop, driven from inside the timing engine. */
@@ -545,14 +546,19 @@ main(int argc, char **argv)
         } else if (a == "--no-esw") {
             opt.esw = false;
         } else if (a == "--ges") {
-            opt.cfg.numGes = uint32_t(std::stoul(need(i, "--ges")));
+            opt.cfg.numGes = uint32_t(parseCount(
+                "haac_dbg", "--ges", need(i, "--ges"), 1, kMaxGes));
         } else if (a == "--sww-wires") {
+            // 1 wire has no half-window to slide by; the cap is far
+            // past any workload's address space.
             opt.cfg.swwBytes =
-                size_t(std::stoul(need(i, "--sww-wires"))) *
+                size_t(parseCount("haac_dbg", "--sww-wires",
+                                  need(i, "--sww-wires"), 2, 1u << 24)) *
                 kLabelBytes;
         } else if (a == "--banks") {
-            opt.cfg.banksPerGe =
-                uint32_t(std::stoul(need(i, "--banks")));
+            opt.cfg.banksPerGe = uint32_t(
+                parseCount("haac_dbg", "--banks", need(i, "--banks"), 1,
+                           kMaxBanksPerGe));
         } else if (a == "--role") {
             const std::string r = need(i, "--role");
             if (r == "garbler")
@@ -572,11 +578,13 @@ main(int argc, char **argv)
             else
                 return fail("unknown mode '" + m + "'");
         } else if (a == "--break") {
-            opt.cycleBreaks.push_back(
-                std::stoull(need(i, "--break")));
+            opt.cycleBreaks.push_back(parseCount(
+                "haac_dbg", "--break", need(i, "--break"), 0,
+                ~uint64_t(0)));
         } else if (a == "--break-ge") {
-            opt.geBreaks.push_back(
-                uint32_t(std::stoul(need(i, "--break-ge"))));
+            opt.geBreaks.push_back(uint32_t(
+                parseCount("haac_dbg", "--break-ge", need(i, "--break-ge"),
+                           0, kMaxGes - 1)));
         } else if (a == "--watch") {
             uint32_t addr = 0;
             if (!parseWire(need(i, "--watch"), addr))

@@ -423,8 +423,8 @@ main(int argc, char **argv)
             opt.shards = uint32_t(parseCount(
                 "haac_lint", "--shards", need(i, "--shards"), 0, 255));
         } else if (a == "--ges") {
-            opt.ges = uint32_t(
-                parseCount("haac_lint", "--ges", need(i, "--ges"), 1, 255));
+            opt.ges = uint32_t(parseCount("haac_lint", "--ges",
+                                          need(i, "--ges"), 1, kMaxGes));
         } else if (a == "--reorder") {
             const std::string k = need(i, "--reorder");
             if (k == "baseline")
